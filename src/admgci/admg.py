@@ -31,6 +31,12 @@ def _check_name(name: str) -> str:
 class Admg:
     """An acyclic directed mixed graph over named vertices.
 
+    Instances are immutable. Derived structure is cached on first use:
+    ancestor and descendant closures, districts, the mixed-cycle answer, and
+    the parent and child maps of the latent-augmented DAG (one latent parent
+    per bi-directed edge) on which :func:`admgci.msep.m_separated` runs its
+    single early-exit reachability pass.
+
     Parameters
     ----------
     vertices:
@@ -104,6 +110,7 @@ class Admg:
         self._district_cache: dict[str, frozenset[str]] = {}
         self._components: tuple[frozenset[str], ...] | None = None
         self._mixed_cycle: bool | None = None
+        self._latent_maps: tuple[dict, dict] | None = None  # see _latent_dag
         self._hash: int | None = None
 
     def _assert_acyclic(self) -> None:
@@ -174,6 +181,28 @@ class Admg:
         for v in out:
             self._check_vertex(v)
         return out
+
+    def _latent_dag(self) -> tuple[dict[object, Collection], dict[object, Collection]]:
+        """Parent and child maps of the latent-augmented DAG, built on first use.
+
+        Every bi-directed edge u <-> v becomes a latent vertex
+        ``("latent", u, v)`` (u < v) whose children are u and v. The maps are
+        published with one assignment and never mutated, so threads that meet
+        a cold graph at worst build them twice.
+        """
+        maps = self._latent_maps
+        if maps is None:
+            latent = lambda u, v: ("latent", min(u, v), max(u, v))
+            parents: dict[object, Collection] = {
+                v: (*self._parents[v], *(latent(v, w) for w in self._spouses[v]))
+                for v in self._vertices
+            }
+            children: dict[object, Collection] = dict(self._children)
+            for u, v in map(tuple, self._bidirected):
+                parents[latent(u, v)] = ()
+                children[latent(u, v)] = (u, v)
+            maps = self._latent_maps = (parents, children)
+        return maps
 
     # --- structural relations -----------------------------------------------
 
@@ -374,7 +403,9 @@ def _mixed_path_search(children, spouses, alpha, beta) -> bool:
 def validate_ordering(g: Admg, ordering: Iterable[str]) -> tuple[str, ...]:
     """Check that ``ordering`` is a consistent total order on ``g``'s vertices.
 
-    Consistency means every vertex appears after all of its ancestors.
+    Consistency means every vertex appears after all of its ancestors. It
+    suffices to check parents: the first vertex in the order with a later
+    ancestor also has a later parent.
     """
     order = tuple(ordering)
     if sorted(order) != list(g.vertices):
@@ -384,7 +415,7 @@ def validate_ordering(g: Admg, ordering: Iterable[str]) -> tuple[str, ...]:
         )
     position = {v: i for i, v in enumerate(order)}
     for v in order:
-        for a in g.ancestors([v]):
+        for a in g._parents[v]:
             if position[a] > position[v]:
                 raise InputError(
                     f"ordering is not consistent: {a} is an ancestor of {v} but follows it"

@@ -14,7 +14,7 @@ from . import implication, markov, msep, sem
 from .admg import Admg, validate_ordering
 from .errors import CapacityError, GenerationError, InputError, NumericError
 from .graphio import load_graph
-from .statements import CiStatement
+from .statements import CiStatement, dedupe
 
 
 def _split_names(value: str) -> list[str]:
@@ -92,12 +92,7 @@ def _analysis(g: Admg, mode: str, ordering, cap: int):
     if mode == "ordered":
         order = ordering or markov.build_collapsed_ordering(g)
         entries = markov.ordered_local_entries(g, order, cap)
-        seen: set[tuple] = set()
-        statements = []
-        for _, _, st in entries:
-            if st is not None and st.key not in seen:
-                seen.add(st.key)
-                statements.append(st)
+        statements = dedupe(st for _, _, st in entries if st is not None)
         return order, statements, [markov.ORDERED_LOCAL] * len(statements), [], len(entries)
     basis = markov.reduced_basis(g, ordering, cap)
     return basis.ordering, list(basis.statements), list(basis.provenance), list(basis.pruned), None
@@ -366,3 +361,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

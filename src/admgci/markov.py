@@ -15,7 +15,7 @@ from typing import Collection, Iterable
 
 from .admg import Admg, _mixed_path_search, validate_ordering
 from .errors import CapacityError, InputError, InternalError
-from .statements import CiStatement
+from .statements import CiStatement, dedupe
 
 ANCESTRAL_ENUM_CAP = 16
 
@@ -197,13 +197,8 @@ def ordered_local_markov(
     One statement per vertex and maximal ancestral set; vacuous statements
     (empty independence side) are dropped and duplicates canonicalized away.
     """
-    seen: set[tuple] = set()
-    out: list[CiStatement] = []
-    for _, _, stmt in ordered_local_entries(g, ordering, cap):
-        if stmt is not None and stmt.key not in seen:
-            seen.add(stmt.key)
-            out.append(stmt)
-    return out
+    entries = ordered_local_entries(g, ordering, cap)
+    return dedupe(stmt for _, _, stmt in entries if stmt is not None)
 
 
 # --- the reduced (one statement per vertex) property --------------------------
@@ -232,17 +227,12 @@ def reduced_local_markov(g: Admg) -> list[CiStatement]:
             "form does not apply - use reduced_basis() instead"
         )
     all_v = frozenset(g.vertices)
-    seen: set[tuple] = set()
-    out: list[CiStatement] = []
+    statements = []
     for x in g.vertices:
         indep = all_v - reduced_scope(g, x)
-        if not indep:
-            continue
-        stmt = CiStatement([x], g.parents([x]), indep)
-        if stmt.key not in seen:
-            seen.add(stmt.key)
-            out.append(stmt)
-    return out
+        if indep:
+            statements.append(CiStatement([x], g.parents([x]), indep))
+    return dedupe(statements)
 
 
 # --- collapsed ordering construction ------------------------------------------

@@ -1,23 +1,28 @@
 """m-separation: a linear-time decision procedure and a brute-force path oracle.
 
-The fast path canonicalizes the ADMG into a DAG by giving every bi-directed
-edge a fresh latent common parent, then runs the standard reachability form
-of d-separation (Koller & Friedman, Alg. 3.1) without ever conditioning on a
-latent. The oracle enumerates vertex-simple paths and applies the collider /
-non-collider conditions literally; it is intentionally small-graph only.
+The fast path works on the latent-augmented DAG, in which every bi-directed
+edge u <-> v becomes a latent common parent ``("latent", u, v)``. Its parent
+and child maps are built once per graph and cached on the :class:`Admg`
+(``Admg._latent_dag``). A query is one multi-source reachability pass over
+that DAG, Shachter's "Bayes-Ball" form of Koller & Friedman, Alg. 3.1: every
+member of x starts in the "up" state, up- and down-visits are kept in two
+sets, and the pass answers "connected" as soon as it reaches a member of y.
+A collider in z sends the pass back up to its parents; a collider with a
+descendant in z is opened the same way, by the walk down to that descendant
+and back up, so no ancestor set of z is computed. The cost is the part of
+the graph the pass reaches. Latents are never conditioned on. The oracle
+enumerates vertex-simple paths and applies the collider / non-collider
+conditions literally; it is intentionally small-graph only.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Collection, Iterator
 
 from .admg import Admg
 from .errors import CapacityError, InputError
 
 BRUTE_FORCE_CAP = 10
-
-_UP, _DOWN = 0, 1
 
 
 def _validate_query(
@@ -38,64 +43,37 @@ def m_separated(
 ) -> bool:
     """True iff no m-connecting path exists between ``x_set`` and ``y_set`` given ``z_set``."""
     x, y, z = _validate_query(g, x_set, y_set, z_set)
-
-    parents: dict[object, set[object]] = {v: set(g.parents([v])) for v in g.vertices}
-    children: dict[object, set[object]] = {v: set(g.children([v])) for v in g.vertices}
-    for edge in g.bidirected_edges:
-        u, v = tuple(edge)
-        latent = ("latent", u, v)
-        parents[latent] = set()
-        children[latent] = {u, v}
-        parents[u].add(latent)
-        parents[v].add(latent)
-
-    # vertices with a descendant in z (in the latent-augmented DAG)
-    anc_z: set[object] = set(z)
-    stack = list(z)
-    while stack:
-        v = stack.pop()
-        for p in parents[v]:
-            if p not in anc_z:
-                anc_z.add(p)
-                stack.append(p)
-
-    # query each x separately: the definition is pairwise over x, y
-    for source in sorted(x):
-        if _reachable(source, parents, children, z, anc_z) & y:
-            return False
+    parents, children = g._latent_dag()
+    # "up": entered from a child (or a source); "down": entered from a parent
+    up_seen: set[object] = set(x)
+    down_seen: set[object] = set()
+    up_todo: list[object] = list(x)
+    down_todo: list[object] = []
+    while up_todo or down_todo:
+        if up_todo:
+            v = up_todo.pop()
+            if v in z:  # a non-collider in z blocks
+                continue
+            ups, downs = parents[v], children[v]
+        else:
+            v = down_todo.pop()
+            if v in z:  # a collider in z: bounce back to its parents
+                ups, downs = parents[v], ()
+            else:
+                ups, downs = (), children[v]
+        for p in ups:
+            if p in y:
+                return False
+            if p not in up_seen:
+                up_seen.add(p)
+                up_todo.append(p)
+        for c in downs:
+            if c in y:
+                return False
+            if c not in down_seen:
+                down_seen.add(c)
+                down_todo.append(c)
     return True
-
-
-def _reachable(
-    source: object,
-    parents: dict[object, set[object]],
-    children: dict[object, set[object]],
-    z: frozenset[str],
-    anc_z: set[object],
-) -> set[object]:
-    reached: set[object] = set()
-    visited: set[tuple[object, int]] = set()
-    queue: deque[tuple[object, int]] = deque([(source, _UP)])
-    while queue:
-        v, direction = queue.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v not in z:
-            reached.add(v)
-        if direction == _UP and v not in z:
-            for p in parents[v]:
-                queue.append((p, _UP))
-            for c in children[v]:
-                queue.append((c, _DOWN))
-        elif direction == _DOWN:
-            if v not in z:
-                for c in children[v]:
-                    queue.append((c, _DOWN))
-            if v in anc_z:  # collider (or observed) with a descendant in z
-                for p in parents[v]:
-                    queue.append((p, _UP))
-    return reached
 
 
 # Edge marks as seen walking along a path: '>' tail->head along the walk,

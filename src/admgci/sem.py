@@ -217,8 +217,10 @@ class DataTable:
                 raise InputError("empty data file: a header row is required") from None
             variables = tuple(h.strip() for h in header)
             rows = []
+            blank_lines = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
+                    blank_lines.append(lineno)
                     continue
                 if len(row) != len(variables):
                     raise InputError(f"line {lineno}: expected {len(variables)} fields")
@@ -228,7 +230,17 @@ class DataTable:
                     raise InputError(f"line {lineno}: {exc}") from None
         if not rows:
             raise InputError("data file contains no observations")
-        return cls(variables, np.asarray(rows, dtype=float))
+        values = np.asarray(rows, dtype=float)
+        del rows  # free the parsed floats before the check allocates its mask
+        if not np.isfinite(values).all():
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            lineno = i + 2
+            for blank in blank_lines:  # ascending; each one shifts later rows down
+                lineno += blank <= lineno
+            raise InputError(
+                f"line {lineno}: non-finite value {values[i, j]} in column {variables[j]!r}"
+            )
+        return cls(variables, values)
 
 
 def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
@@ -313,7 +325,10 @@ class TestReport:
 def sample_partial_correlation(
     data: DataTable, x: str, y: str, given: Collection[str] = ()
 ) -> float:
-    """Sample analogue of :func:`partial_correlation`."""
+    """Sample analogue of :func:`partial_correlation`.
+
+    Raises :class:`NumericError` when the sample covariance is singular or the
+    result is not finite."""
     names = [x, y, *sorted(frozenset(given))]
     cols = np.column_stack([data.column(n) for n in names])
     cov = np.cov(cols, rowvar=False, ddof=1)
@@ -322,7 +337,11 @@ def sample_partial_correlation(
         precision = np.linalg.inv(cov)
     except np.linalg.LinAlgError:
         raise NumericError("sample covariance of the test variables is singular") from None
-    return float(-precision[0, 1] / math.sqrt(precision[0, 0] * precision[1, 1]))
+    scale = precision[0, 0] * precision[1, 1]
+    r = float(-precision[0, 1] / math.sqrt(scale)) if scale > 0 else math.nan
+    if not math.isfinite(r):
+        raise NumericError("sample partial correlation is not finite")
+    return r
 
 
 def run_tests(
@@ -335,8 +354,9 @@ def run_tests(
 
     z = sqrt(n - |given| - 3) * atanh(r), two-sided normal p-value. With the
     default Bonferroni correction a hypothesis is rejected when
-    p < alpha / len(plan). Tests with too small a sample produce per-test
-    error entries rather than failing the whole run.
+    p < alpha / len(plan). Tests with too small a sample, a singular sample
+    covariance or a non-finite partial correlation produce per-test error
+    entries rather than failing the whole run.
     """
     if correction not in ("bonferroni", "none"):
         raise InputError(f"unknown correction {correction!r}")
@@ -347,15 +367,26 @@ def run_tests(
             if name not in data.variables:
                 raise InputError(f"data is missing column {name!r} required by the plan")
     threshold = alpha / len(plan) if (correction == "bonferroni" and plan) else alpha
+    # a constant column makes the covariance singular, whatever rounding says
+    flat = np.ptp(data.values, axis=0) == 0 if data.n else np.zeros(len(data.variables), bool)
+    constant = {v for v, f in zip(data.variables, flat) if f}
     results = []
     for t in plan:
         df = data.n - len(t.given) - 3
+        fixed = sorted(constant.intersection((t.x, t.y, *t.given)))
+        error = None
         if df <= 0:
-            results.append(
-                TestResult(t, None, None, None, False, error="insufficient sample size")
-            )
+            error = "insufficient sample size"
+        elif fixed:
+            error = f"column {fixed[0]} is constant, so the sample covariance is singular"
+        else:
+            try:
+                r = sample_partial_correlation(data, t.x, t.y, t.given)
+            except NumericError as exc:
+                error = str(exc)
+        if error is not None:
+            results.append(TestResult(t, None, None, None, False, error=error))
             continue
-        r = sample_partial_correlation(data, t.x, t.y, t.given)
         r = max(-1 + 1e-12, min(1 - 1e-12, r))
         z = math.sqrt(df) * math.atanh(r)
         p = math.erfc(abs(z) / math.sqrt(2))

@@ -49,3 +49,24 @@ def random_dag(rng: np.random.Generator, n: int, p_dir=0.4) -> Admg:
 
 def random_bidirected_graph(rng: np.random.Generator, n: int, p_bi=0.4) -> Admg:
     return random_admg(rng, n, p_dir=0.0, p_bi=p_bi)
+
+
+def random_sparse_admg(rng: np.random.Generator, n: int, window=8, max_parents=3) -> Admg:
+    """A random ADMG on vertices v0..v{n-1} for graphs beyond the short names.
+
+    In a random order each vertex takes up to ``max_parents`` parents among
+    the ``window`` vertices before it; n // 3 bi-directed edges join
+    uniformly drawn pairs, so mixed directed cycles are common."""
+    names = [f"v{i}" for i in range(n)]
+    order = list(rng.permutation(names))
+    directed = set()
+    for i in range(1, n):
+        lo = max(0, i - window)
+        k = int(rng.integers(0, min(max_parents, i - lo) + 1))
+        for j in rng.choice(np.arange(lo, i), size=k, replace=False):
+            directed.add((order[j], order[i]))
+    bidirected = set()
+    while len(bidirected) < n // 3:
+        i, j = rng.choice(n, size=2, replace=False)
+        bidirected.add((names[min(i, j)], names[max(i, j)]))
+    return Admg(names, directed, bidirected)

@@ -1,8 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
-These deliberately avoid the package's algorithms: d-separation goes through
-moralization, mixed-directed-path detection enumerates simple paths, and the
-axiom closure applies one rule family at a time to the whole set.
+These deliberately avoid the package's algorithms: d- and m-separation go
+through moralization, mixed-directed-path detection enumerates simple paths,
+and the axiom closure applies one rule family at a time to the whole set.
 """
 
 from __future__ import annotations
@@ -38,6 +38,49 @@ def d_separated_moral(g: Admg, x_set, y_set, z_set) -> bool:
             return False
         for w in adj[v]:
             if w not in blocked and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def m_separated_latent_moral(g: Admg, x_set, y_set, z_set) -> bool:
+    """m-separation by moralization of the latent-augmented DAG.
+
+    Every bi-directed edge u <-> v becomes an explicit latent vertex with the
+    two children u and v. The DAG is restricted to the ancestors of the
+    query, moralized, z is deleted, and x and y are tested for undirected
+    connectivity (Richardson 2003: an ADMG and its canonical DAG agree on
+    m-separation among the observed vertices)."""
+    x, y, z = frozenset(x_set), frozenset(y_set), frozenset(z_set)
+    parents: dict[object, set] = {v: set(g.parents([v])) for v in g.vertices}
+    for i, edge in enumerate(sorted(sorted(e) for e in g.bidirected_edges)):
+        latent = ("L", i)
+        parents[latent] = set()
+        for v in edge:
+            parents[v].add(latent)
+    keep = set(x | y | z)
+    stack = list(keep)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    adj: dict[object, set] = {v: set() for v in keep}
+    for v in keep:
+        for p in parents[v]:
+            adj[v].add(p)
+            adj[p].add(v)
+        for p, q in combinations(parents[v], 2):  # marry the parents
+            adj[p].add(q)
+            adj[q].add(p)
+    stack = list(x)
+    seen = set(stack)
+    while stack:
+        v = stack.pop()
+        if v in y:
+            return False
+        for w in adj[v]:
+            if w not in z and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return True

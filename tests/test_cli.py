@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +125,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "usage:" in out and command in out
 
+    @pytest.mark.parametrize("module", ["admgci", "admgci.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "components", "figure1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDENS / "figure1_components.txt").read_text()
+
     def test_inconsistent_order_rejected(self, capsys):
         code, _, err = run(
             capsys, "analyze", "figure2", "--mode", "ordered", "--order", "a,b,c,d,e"
@@ -230,3 +248,26 @@ class TestSemPipeline:
         assert code == 0 and len(payload["tests"]) == 7
         code, payload, _ = run_json(capsys, "sem-tests", "figure2", "--mode", "auto")
         assert code == 0 and len(payload["tests"]) == 3
+
+    def test_bad_columns(self, capsys, tmp_path):
+        # a non-finite cell is an input error naming its line; a constant
+        # column gives per-test errors and a FAIL, not an aborted run
+        data = tmp_path / "data.csv"
+        run(capsys, "simulate", "figure2", "--n", "200", "--seed", "5", "--out", str(data))
+        lines = data.read_text().splitlines()
+        nan_cell = lines[:4] + ["nan," + lines[4].split(",", 1)[1]] + lines[5:]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(nan_cell) + "\n")
+        code, _, err = run(capsys, "sem-check", "figure2", str(bad))
+        assert code == 2 and "line 5" in err
+        rows = [lines[0]] + ["1.5," + line.split(",", 1)[1] for line in lines[1:]]
+        flat = tmp_path / "constant.csv"
+        flat.write_text("\n".join(rows) + "\n")
+        code, payload, _ = run_json(capsys, "sem-check", "figure2", str(flat))
+        assert code == 1 and payload["pass"] is False
+        first = lines[0].split(",")[0]
+        for t in payload["tests"]:
+            touches = first in (t["x"], t["y"], *t["given"])
+            assert (t["error"] is not None) == touches
+            assert (t["r"] is None) == touches
+        assert any(t["error"] for t in payload["tests"])

@@ -11,8 +11,8 @@ from admgci import (
     m_separated,
     m_separated_bruteforce,
 )
-from conftest import random_admg, random_dag
-from oracles import all_subsets, d_separated_moral
+from conftest import random_admg, random_dag, random_sparse_admg
+from oracles import all_subsets, d_separated_moral, m_separated_latent_moral
 
 
 class TestExamples:
@@ -110,3 +110,52 @@ class TestProperties:
                     assert m_separated(g, [x], [y], z) == d_separated_moral(
                         g, [x], [y], z
                     ), (repr(g), x, y, z)
+
+
+def _random_query(rng, g, max_size=3):
+    vs = list(rng.permutation(g.vertices))
+    kx, ky = int(rng.integers(1, max_size + 1)), int(rng.integers(1, max_size + 1))
+    return vs[:kx], vs[kx : kx + ky], vs[kx + ky :]
+
+
+class TestBeyondSmallGraphs:
+    def test_matches_latent_moralization_on_20_to_200_vertices(self):
+        # graphs with mixed directed cycles; half the queries condition on
+        # the parents of x, so both answers occur
+        rng = np.random.default_rng(20)
+        answers = []
+        for n in [20, 50, 100, 200] * 10:
+            g = random_sparse_admg(rng, n)
+            for _ in range(25):
+                x, y, rest = _random_query(rng, g)
+                if rng.random() < 0.5:
+                    z = [v for v in rest if rng.random() < 0.2]
+                else:
+                    extra = [v for v in rest if rng.random() < 0.05]
+                    z = sorted((g.parents(x) | set(extra)) - set(x) - set(y))
+                expected = m_separated_latent_moral(g, x, y, z)
+                assert m_separated(g, x, y, z) == expected, (n, x, y, z)
+                answers.append(expected)
+        assert 100 < sum(answers) < len(answers) - 100
+
+    def test_matches_bruteforce_on_8_to_10_vertices(self):
+        rng = np.random.default_rng(21)
+        answers = []
+        for i in range(60):
+            g = random_admg(rng, 8 + i % 3, p_dir=0.2, p_bi=0.15)
+            for _ in range(20):
+                x, y, rest = _random_query(rng, g)
+                z = [v for v in rest if rng.random() < 0.3]
+                expected = m_separated_bruteforce(g, x, y, z)
+                assert m_separated(g, x, y, z) == expected, (repr(g), x, y, z)
+                answers.append(expected)
+        assert 100 < sum(answers) < len(answers) - 100
+
+    def test_latent_moralization_oracle_matches_bruteforce(self):
+        # the oracle itself, checked where the path enumeration can run
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            g = random_admg(rng, int(rng.integers(3, 9)))
+            x, y, rest = _random_query(rng, g, max_size=2)
+            z = [v for v in rest if rng.random() < 0.4]
+            assert m_separated_latent_moral(g, x, y, z) == m_separated_bruteforce(g, x, y, z)

@@ -194,6 +194,20 @@ class TestSimulate:
         with pytest.raises(InputError, match="line 2"):
             DataTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, line, cell",
+        [
+            ("nan,1.0\nnan,2.0\nNaN,3.0\n", 2, "nan"),  # an all-NaN column
+            ("1.0,2.0\n\n3.0,inf\n", 4, "inf"),  # the blank line 3 still counts
+            ("1.0,2.0\n-inf,3.0\n", 3, "-inf"),
+        ],
+    )
+    def test_csv_rejects_non_finite_values(self, tmp_path, body, line, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n" + body)
+        with pytest.raises(InputError, match=f"line {line}: non-finite value {cell} "):
+            DataTable.from_csv(path)
+
 
 class TestPlans:
     def test_figure2_reduced_plan(self, figure2):
@@ -239,6 +253,44 @@ class TestRunTests:
         report = run_tests(tiny, plan, alpha=0.05)
         assert report.errors == len(plan)
         assert not report.passed
+
+    def test_constant_column_is_per_test_error(self, figure2):
+        p = random_parameters(figure2, 15)
+        table = simulate(figure2, p, 500, seed=2)
+        values = table.values.copy()
+        values[:, table.variables.index("a")] = 0.1  # rounds to a non-zero variance
+        plan = build_test_plan(ordered_local_markov(figure2, expected.FIGURE2_ORDERING))
+        report = run_tests(DataTable(table.variables, values), plan)
+        for result in report.results:
+            t = result.test
+            if "a" in (t.x, t.y, *t.given):
+                assert result.error == "column a is constant, so the sample covariance is singular"
+                assert (result.r, result.reject) == (None, False)
+            else:
+                assert result.error is None and result.r is not None
+        assert 0 < report.errors < len(plan) and not report.passed
+
+    def test_collinear_columns_are_per_test_errors(self):
+        # y = 2x exactly: the covariance of (x, y, w) is singular
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(50)
+        data = DataTable(("w", "x", "y"), np.column_stack([rng.standard_normal(50), x, 2 * x]))
+        plan = build_test_plan([CiStatement(["w"], ["x"], ["y"]), CiStatement(["w"], [], ["x"])])
+        first, second = run_tests(data, plan).results
+        assert first.r is None and first.error is not None
+        assert second.error is None and second.r is not None
+
+    def test_non_finite_data_is_per_test_error(self):
+        # tables built in code skip the CSV check; NaN must not read as r = +1
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((40, 3))
+        values[:, 0] = np.nan
+        data = DataTable(("a", "b", "c"), values)
+        plan = build_test_plan([CiStatement(["a"], [], ["b"]), CiStatement(["b"], [], ["c"])])
+        first, second = run_tests(data, plan).results
+        assert first.error == "sample partial correlation is not finite"
+        assert (first.r, first.reject) == (None, False)
+        assert second.error is None
 
     def test_missing_column_rejected(self, figure2):
         data = DataTable(("a", "b"), np.zeros((10, 2)))
