@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import deque
+from itertools import chain
 from typing import Collection, Iterable
 
 from .errors import InputError, InternalError
@@ -32,10 +33,16 @@ class Admg:
     """An acyclic directed mixed graph over named vertices.
 
     Instances are immutable. Derived structure is cached on first use:
-    ancestor and descendant closures, districts, the mixed-cycle answer, and
-    the parent and child maps of the latent-augmented DAG (one latent parent
-    per bi-directed edge) on which :func:`admgci.msep.m_separated` runs its
-    single early-exit reachability pass.
+
+    - ancestor and descendant closures, and districts;
+    - the parent and child maps of the latent-augmented DAG (one latent
+      parent per bi-directed edge), on which :func:`admgci.msep.m_separated`
+      runs its single early-exit reachability pass;
+    - the strongly connected components of the mixed graph (directed edges
+      forward, bi-directed edges both ways) and which of them hold a directed
+      edge, which answer :meth:`has_mixed_directed_cycle` and tell
+      :func:`admgci.markov.build_collapsed_ordering` where a mixed directed
+      path can exist at all.
 
     Parameters
     ----------
@@ -109,8 +116,8 @@ class Admg:
         self._de_cache: dict[str, frozenset[str]] = {}
         self._district_cache: dict[str, frozenset[str]] = {}
         self._components: tuple[frozenset[str], ...] | None = None
-        self._mixed_cycle: bool | None = None
         self._latent_maps: tuple[dict, dict] | None = None  # see _latent_dag
+        self._scc_maps: tuple[dict, frozenset] | None = None  # see _mixed_sccs
         self._hash: int | None = None
 
     def _assert_acyclic(self) -> None:
@@ -202,6 +209,26 @@ class Admg:
                 parents[latent(u, v)] = ()
                 children[latent(u, v)] = (u, v)
             maps = self._latent_maps = (parents, children)
+        return maps
+
+    def _mixed_sccs(self) -> tuple[dict[str, str], frozenset[str]]:
+        """Strongly connected components of the mixed graph H, built on first use.
+
+        H has an arc t -> h for every directed edge and arcs both ways for
+        every bi-directed edge. Returns the component of each vertex, named by
+        one of its members, and the set of *cyclic* components: those holding
+        both ends of some directed edge. O(V+E), published with one
+        assignment, like :meth:`_latent_dag`.
+        """
+        maps = self._scc_maps
+        if maps is None:
+            component = _strong_components(
+                self._vertices, lambda v: chain(self._children[v], self._spouses[v])
+            )
+            cyclic = frozenset(
+                component[t] for t, h in self._directed if component[t] == component[h]
+            )
+            maps = self._scc_maps = (component, cyclic)
         return maps
 
     # --- structural relations -----------------------------------------------
@@ -298,10 +325,6 @@ class Admg:
         a = self._check_set(a)
         return self.ancestors(a) == a
 
-    def ancestral_closure(self, s: Collection[str]) -> frozenset[str]:
-        """The smallest ancestral superset of ``s``."""
-        return self.ancestors(s)
-
     def has_mixed_directed_path(self, alpha: str, beta: str) -> bool:
         """True iff a vertex-simple path from ``alpha`` to ``beta`` exists whose
         edges are all bi-directed or forward-pointing directed, with at least
@@ -313,22 +336,17 @@ class Admg:
         return _mixed_path_search(self._children, self._spouses, alpha, beta)
 
     def has_mixed_directed_cycle(self) -> bool:
-        """True iff some mixed directed path is closed by an opposing edge."""
-        if self._mixed_cycle is None:
-            self._mixed_cycle = self._find_mixed_cycle()
-        return self._mixed_cycle
+        """True iff some mixed directed path is closed by an opposing edge.
 
-    def _find_mixed_cycle(self) -> bool:
-        for beta, alpha in self._directed:
-            if _mixed_path_search(self._children, self._spouses, alpha, beta):
-                return True
-        for edge in self._bidirected:
-            u, v = tuple(edge)
-            if _mixed_path_search(self._children, self._spouses, u, v):
-                return True
-            if _mixed_path_search(self._children, self._spouses, v, u):
-                return True
-        return False
+        Equivalently, some strongly connected component of the mixed graph
+        holds both ends of a directed edge t -> h. A mixed directed cycle
+        keeps its own directed edge inside one component. Conversely, a
+        shortest walk h ~> t in the mixed graph is a simple path, which
+        t -> h closes into a mixed directed cycle (if that path is the single
+        bi-directed edge h <-> t, the pair is a "bow": the path t -> h closed
+        by t <-> h). O(V+E) on first call, cached after.
+        """
+        return bool(self._mixed_sccs()[1])
 
     def topological_ordering(self) -> tuple[str, ...]:
         """A consistent ordering of the vertices (lexicographic tie-break)."""
@@ -346,6 +364,46 @@ class Admg:
         if len(order) != len(self._vertices):
             raise InternalError("topological sort failed on a validated acyclic graph")
         return tuple(order)
+
+
+def _strong_components(nodes: Iterable, successors) -> dict:
+    """Strongly connected components by an iterative Tarjan pass.
+
+    Maps every node to the root of its component, a member that names it.
+    ``successors(v)`` must yield only members of ``nodes``.
+    """
+    index: dict = {}
+    low: dict = {}
+    component: dict = {}
+    stack = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        frames = [(root, iter(successors(root)))]  # (vertex, successors left)
+        while frames:
+            v, rest = frames[-1]
+            for w in rest:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    frames.append((w, iter(successors(w))))
+                    break
+                if w not in component:  # visited and still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = v
+                        if w == v:
+                            break
+    return component
 
 
 def _mixed_path_search(children, spouses, alpha, beta) -> bool:
@@ -384,20 +442,28 @@ def _mixed_path_search(children, spouses, alpha, beta) -> bool:
 
     on_prefix = {alpha}
 
-    def extend(u) -> bool:
-        for w in children[u]:
-            if w == beta or (w not in on_prefix and reaches(w, on_prefix)):
-                return True
-        for v in spouses[u]:
-            if v == beta or v in on_prefix:
-                continue  # the path cannot pass through beta before ending there
-            on_prefix.add(v)
-            if extend(v):
-                return True
-            on_prefix.discard(v)
-        return False
+    def first_edge_from(u) -> bool:
+        return any(
+            w == beta or (w not in on_prefix and reaches(w, on_prefix)) for w in children[u]
+        )
 
-    return extend(alpha)
+    if first_edge_from(alpha):
+        return True
+    frames = [(alpha, iter(spouses[alpha]))]  # one (vertex, spouses left) per prefix vertex
+    while frames:
+        u, rest = frames[-1]
+        for v in rest:
+            if v != beta and v not in on_prefix:  # the path ends at beta, so never passes it
+                break
+        else:
+            frames.pop()
+            on_prefix.discard(u)
+            continue
+        on_prefix.add(v)
+        if first_edge_from(v):
+            return True
+        frames.append((v, iter(spouses[v])))
+    return False
 
 
 def validate_ordering(g: Admg, ordering: Iterable[str]) -> tuple[str, ...]:

@@ -23,18 +23,10 @@ UNIVERSE_CAP = 12
 
 @dataclass(frozen=True)
 class AxiomSet:
-    """Rule selection. The four semi-graphoid rules cannot be disabled."""
+    """Rule selection: the four semi-graphoid rules always apply, composition
+    on request."""
 
     composition: bool = False
-
-    symmetry: bool = True
-    decomposition: bool = True
-    weak_union: bool = True
-    contraction: bool = True
-
-    def __post_init__(self):
-        if not (self.symmetry and self.decomposition and self.weak_union and self.contraction):
-            raise InputError("the semi-graphoid rules are always enabled")
 
 
 SEMI_GRAPHOID = AxiomSet(composition=False)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Collection, Iterable
 
-from .admg import Admg, _mixed_path_search, validate_ordering
+from .admg import Admg, _mixed_path_search, _strong_components, validate_ordering
 from .errors import CapacityError, InputError, InternalError
 from .statements import CiStatement, dedupe
 
@@ -100,8 +101,13 @@ def maximal_ancestral_sets(
     """
     order = validate_ordering(g, ordering)
     g._check_vertex(x)
-    pos = order.index(x)
-    pre = order[: pos + 1]
+    return _maximal_ancestral_sets(g, x, order[: order.index(x) + 1], cap)
+
+
+def _maximal_ancestral_sets(
+    g: Admg, x: str, pre: tuple[str, ...], cap: int
+) -> list[frozenset[str]]:
+    """:func:`maximal_ancestral_sets` for the validated prefix ``pre`` ending in ``x``."""
     free = [v for v in pre if v != x]
     if len(free) > cap:
         raise CapacityError(
@@ -180,8 +186,8 @@ def ordered_local_entries(
     empty (vacuous)."""
     order = validate_ordering(g, ordering)
     entries: list[tuple[str, frozenset[str], CiStatement | None]] = []
-    for x in order:
-        for a in maximal_ancestral_sets(g, x, order, cap):
+    for i, x in enumerate(order):
+        for a in _maximal_ancestral_sets(g, x, order[: i + 1], cap):
             mb = _blanket_in(g, x, a)
             indep = a - mb - {x}
             stmt = CiStatement([x], mb, indep) if indep else None
@@ -239,10 +245,7 @@ def reduced_local_markov(g: Admg) -> list[CiStatement]:
 
 
 def _mixed_path_between_nodes(
-    children: dict[frozenset, set[frozenset]],
-    spouses: dict[frozenset, set[frozenset]],
-    u: frozenset,
-    w: frozenset,
+    children: dict[str, set[str]], spouses: dict[str, set[str]], u: str, w: str
 ) -> bool:
     """Mixed directed path between supernodes, in either direction."""
     return _mixed_path_search(children, spouses, u, w) or _mixed_path_search(
@@ -260,83 +263,99 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
     dropped. The resulting DAG of supernodes is topologically sorted with a
     lexicographic tie-break and supernodes expand in name order. For graphs
     without mixed directed cycles every c-component ends up consecutive.
+
+    Supernodes are disjoint, so their sorted member tuples compare as their
+    least members do; a supernode is named by its least member, and a heap of
+    ``(name, name)`` pairs with lazy deletion yields the edges in the same
+    order as re-sorting them after every step.
+
+    The vertex-simple path search runs only for pairs inside a cyclic
+    strongly connected component of the evolving graph's mixed graph (arcs
+    along directed edges, both ways along bi-directed ones; see
+    :meth:`Admg.has_mixed_directed_cycle`). A mixed directed path between the
+    ends of a bi-directed edge, closed by that edge, is a closed walk that
+    holds a directed edge, so both ends of that directed edge and the pair lie
+    in one cyclic component. Any other pair has no mixed directed path and
+    merges without a search. A merge never changes the components, since the
+    merged pair already reach each other both ways: they stay those of the
+    original graph until a drop, which can split only the component that held
+    the dropped edge, and only that component is decomposed again.
     """
-    nodes: set[frozenset[str]] = {frozenset({v}) for v in g.vertices}
-    children: dict[frozenset, set[frozenset]] = {n: set() for n in nodes}
-    parents: dict[frozenset, set[frozenset]] = {n: set() for n in nodes}
-    spouses: dict[frozenset, set[frozenset]] = {n: set() for n in nodes}
-    singleton = {v: frozenset({v}) for v in g.vertices}
-    for t, h in g.directed_edges:
-        children[singleton[t]].add(singleton[h])
-        parents[singleton[h]].add(singleton[t])
-    for e in g.bidirected_edges:
-        u, v = tuple(e)
-        spouses[singleton[u]].add(singleton[v])
-        spouses[singleton[v]].add(singleton[u])
-
-    def label(n: frozenset[str]) -> tuple[str, ...]:
-        return tuple(sorted(n))
-
-    while True:
-        bi_edges = sorted(
-            (tuple(sorted((label(a), label(b)))), a, b)
-            for a in nodes
-            for b in spouses[a]
-            if label(a) < label(b)
-        )
-        if not bi_edges:
-            break
-        _, u, w = bi_edges[0]
-        if _mixed_path_between_nodes(children, spouses, u, w):
+    members = {v: [v] for v in g.vertices}
+    parents = {v: set(g._parents[v]) for v in g.vertices}
+    children = {v: set(g._children[v]) for v in g.vertices}
+    spouses = {v: set(g._spouses[v]) for v in g.vertices}
+    scc, cyclic = g._mixed_sccs()
+    component, cyclic = dict(scc), set(cyclic)  # keyed by supernode name
+    heap = [tuple(sorted(e)) for e in g.bidirected_edges]
+    heapq.heapify(heap)
+    while heap:
+        u, w = heapq.heappop(heap)
+        if u not in members or w not in spouses[u]:
+            continue  # u was merged into a lesser supernode, or the edge is gone
+        root = component[u]
+        if root in cyclic and _mixed_path_between_nodes(children, spouses, u, w):
             spouses[u].discard(w)
             spouses[w].discard(u)
+            # the component stays connected through u or w, ignoring directions
+            inside = {u, w}
+            todo = [u, w]
+            while todo:
+                n = todo.pop()
+                for m in chain(parents[n], children[n], spouses[n]):
+                    if m not in inside and component[m] == root:
+                        inside.add(m)
+                        todo.append(m)
+            cyclic.discard(root)
+            split = _strong_components(
+                inside, lambda n: [m for m in chain(children[n], spouses[n]) if m in inside]
+            )
+            component.update(split)
+            cyclic.update(
+                split[t] for t in inside for h in children[t] if split.get(h) == split[t]
+            )
             continue
 
         if w in children[u] or u in children[w]:
             raise InternalError("directed edge inside a mergeable confounded pair")
-        merged = u | w
-        new_parents = (parents[u] | parents[w]) - {u, w}
-        new_children = (children[u] | children[w]) - {u, w}
-        new_spouses = (spouses[u] | spouses[w]) - {u, w}
-        if new_parents & new_children:
+        # u, the lesser name, absorbs w
+        for p in parents[w]:
+            children[p].discard(w)
+            children[p].add(u)
+        for c in children[w]:
+            parents[c].discard(w)
+            parents[c].add(u)
+        for s in spouses[w]:
+            spouses[s].discard(w)
+            if s != u:
+                spouses[s].add(u)
+                heapq.heappush(heap, (min(u, s), max(u, s)))
+        parents[u] |= parents.pop(w)
+        children[u] |= children.pop(w)
+        spouses[u] |= spouses.pop(w)
+        spouses[u].discard(u)
+        if not parents[u].isdisjoint(children[u]):
             raise InternalError(
                 "merging a confounded pair produced opposing directed edges; "
                 "this would require a mixed directed cycle"
             )
-        for n in (u, w):
-            for p in parents[n]:
-                children[p].discard(n)
-            for c in children[n]:
-                parents[c].discard(n)
-            for s in spouses[n]:
-                spouses[s].discard(n)
-            del parents[n], children[n], spouses[n]
-            nodes.remove(n)
-        nodes.add(merged)
-        parents[merged] = set(new_parents)
-        children[merged] = set(new_children)
-        spouses[merged] = set(new_spouses)
-        for p in new_parents:
-            children[p].add(merged)
-        for c in new_children:
-            parents[c].add(merged)
-        for s in new_spouses:
-            spouses[s].add(merged)
+        absorbed = members.pop(w)
+        if len(absorbed) > len(members[u]):
+            members[u], absorbed = absorbed, members[u]
+        members[u].extend(absorbed)
 
-    indeg = {n: len(parents[n]) for n in nodes}
-    heap = [(label(n), n) for n in nodes if indeg[n] == 0]
+    indeg = {n: len(parents[n]) for n in members}
+    heap = [n for n in members if indeg[n] == 0]
     heapq.heapify(heap)
     order: list[str] = []
-    emitted = 0
     while heap:
-        _, n = heapq.heappop(heap)
-        order.extend(sorted(n))
-        emitted += 1
+        n = heapq.heappop(heap)
+        order.extend(sorted(members[n]))
         for c in children[n]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                heapq.heappush(heap, (label(c), c))
-    if emitted != len(nodes):
+                heapq.heappush(heap, c)
+    if len(order) != len(g.vertices):
         raise InternalError("collapsed graph is not a DAG")
     return validate_ordering(g, order)
 
@@ -350,10 +369,14 @@ def reduced_form_applies(g: Admg, x: str, ordering: Iterable[str]) -> bool:
     be consecutive in the ordering and free of internal directed edges."""
     order = validate_ordering(g, ordering)
     g._check_vertex(x)
-    pos = {v: i for i, v in enumerate(order)}
-    dp = g.district(x) & frozenset(order[: pos[x] + 1])
-    positions = sorted(pos[v] for v in dp)
-    if positions != list(range(positions[0], positions[0] + len(positions))):
+    return _reduced_form_applies(g, x, {v: i for i, v in enumerate(order)})
+
+
+def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
+    """:func:`reduced_form_applies` given the positions of a validated ordering."""
+    dp = frozenset(v for v in g.district(x) if pos[v] <= pos[x])
+    positions = [pos[v] for v in dp]
+    if max(positions) - min(positions) != len(positions) - 1:
         return False
     return all(not (g._children[v] & dp) for v in dp)
 
@@ -372,7 +395,14 @@ def redundant_ancestral_set(
         raise InputError("the candidate set must contain the vertex and lie in its prefix")
     if not g.is_ancestral(a_prime):
         raise InputError("the candidate set must be ancestral")
+    return _redundant_ancestral_set(g, x, pre, a_prime)
 
+
+def _redundant_ancestral_set(
+    g: Admg, x: str, pre: frozenset[str], a_prime: frozenset[str]
+) -> bool:
+    """:func:`redundant_ancestral_set` for a checked ancestral ``a_prime``
+    inside the prefix ``pre`` of ``x``."""
     dis_pre = _district_in(g, x, pre)
     dis_prime = _district_in(g, x, a_prime)
     dropped = dis_pre - dis_prime
@@ -402,6 +432,7 @@ def reduced_basis(
     are dropped, duplicates collapse to their first occurrence, and pruned
     statements are recorded with the index of the statement implying them.
     """
+    # the one validation of the ordering; the helpers below trust it
     order = (
         build_collapsed_ordering(g) if ordering is None else validate_ordering(g, ordering)
     )
@@ -420,15 +451,16 @@ def reduced_basis(
             index_of[stmt.key] = at
         return at
 
-    for x in order:
-        if reduced_form_applies(g, x, order):
+    pos = {v: i for i, v in enumerate(order)}
+    for i, x in enumerate(order):
+        if _reduced_form_applies(g, x, pos):
             indep = all_v - reduced_scope(g, x)
             if indep:
                 emit(CiStatement([x], g.parents([x]), indep), REDUCED_FORM)
             continue
 
-        sets = maximal_ancestral_sets(g, x, order, cap)
-        pre = frozenset(order[: order.index(x) + 1])
+        sets = _maximal_ancestral_sets(g, x, order[: i + 1], cap)
+        pre = frozenset(order[: i + 1])
         if not sets or sets[0] != pre:
             raise InternalError("the full prefix must be the largest maximal ancestral set")
         top_index: int | None = None
@@ -440,7 +472,7 @@ def reduced_basis(
             mb = _blanket_in(g, x, a)
             indep = a - mb - {x}
             stmt = CiStatement([x], mb, indep) if indep else None
-            if redundant_ancestral_set(g, x, order, a):
+            if _redundant_ancestral_set(g, x, pre, a):
                 if stmt is not None:
                     if top_index is None:
                         raise InternalError(

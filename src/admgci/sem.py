@@ -331,8 +331,12 @@ def sample_partial_correlation(
     result is not finite."""
     names = [x, y, *sorted(frozenset(given))]
     cols = np.column_stack([data.column(n) for n in names])
-    cov = np.cov(cols, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    return _partial_correlation_of(np.atleast_2d(np.cov(cols, rowvar=False, ddof=1)))
+
+
+def _partial_correlation_of(cov: np.ndarray) -> float:
+    """Partial correlation of the first two variables of a sample covariance
+    given the rest; errors as in :func:`sample_partial_correlation`."""
     try:
         precision = np.linalg.inv(cov)
     except np.linalg.LinAlgError:
@@ -370,6 +374,7 @@ def run_tests(
     # a constant column makes the covariance singular, whatever rounding says
     flat = np.ptp(data.values, axis=0) == 0 if data.n else np.zeros(len(data.variables), bool)
     constant = {v for v, f in zip(data.variables, flat) if f}
+    cov = None  # of all columns, computed once when the first test needs it
     results = []
     for t in plan:
         df = data.n - len(t.given) - 3
@@ -380,8 +385,11 @@ def run_tests(
         elif fixed:
             error = f"column {fixed[0]} is constant, so the sample covariance is singular"
         else:
+            if cov is None:
+                cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
+            idx = [data.variables.index(n) for n in (t.x, t.y, *sorted(t.given))]
             try:
-                r = sample_partial_correlation(data, t.x, t.y, t.given)
+                r = _partial_correlation_of(cov[np.ix_(idx, idx)])
             except NumericError as exc:
                 error = str(exc)
         if error is not None:

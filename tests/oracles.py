@@ -1,15 +1,27 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately avoid the package's algorithms: d- and m-separation go
-through moralization, mixed-directed-path detection enumerates simple paths,
-and the axiom closure applies one rule family at a time to the whole set.
+through moralization, mixed-directed-path and -cycle detection enumerate
+simple paths, the collapsed ordering re-sorts the edges and searches every
+pair, and the axiom closure applies one rule family at a time to the whole
+set.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations
 
-from admgci import Admg, CiStatement
+from admgci import (
+    ORDERED_LOCAL,
+    REDUCED_FORM,
+    Admg,
+    CiStatement,
+    markov_blanket,
+    maximal_ancestral_sets,
+    reduced_form_applies,
+    reduced_scope,
+    redundant_ancestral_set,
+)
 
 
 def d_separated_moral(g: Admg, x_set, y_set, z_set) -> bool:
@@ -86,21 +98,137 @@ def m_separated_latent_moral(g: Admg, x_set, y_set, z_set) -> bool:
     return True
 
 
-def mixed_directed_path_by_enumeration(g: Admg, alpha: str, beta: str) -> bool:
-    """Exhaustive simple-path search for a mixed directed path."""
+def _mixed_path_over(children, spouses, alpha, beta) -> bool:
+    """Exhaustive simple-path search for a mixed directed path over adjacency
+    maps of any node type."""
 
-    def walk(v: str, on_path: set[str], used_directed: bool) -> bool:
+    def walk(v, on_path: set, used_directed: bool) -> bool:
         if v == beta:
             return used_directed
-        for w in g.children([v]):
+        for w in children[v]:
             if w not in on_path and walk(w, on_path | {w}, True):
                 return True
-        for w in g.spouses([v]):
+        for w in spouses[v]:
             if w not in on_path and walk(w, on_path | {w}, used_directed):
                 return True
         return False
 
     return walk(alpha, {alpha}, False)
+
+
+def mixed_directed_path_by_enumeration(g: Admg, alpha: str, beta: str) -> bool:
+    """Exhaustive simple-path search for a mixed directed path."""
+    children = {v: g.children([v]) for v in g.vertices}
+    spouses = {v: g.spouses([v]) for v in g.vertices}
+    return _mixed_path_over(children, spouses, alpha, beta)
+
+
+def mixed_directed_cycle_by_enumeration(g: Admg) -> bool:
+    """A mixed directed path closed by an opposing edge: a directed edge
+    t -> h with a mixed directed path h ~> t, or a bi-directed edge with a
+    mixed directed path between its ends in either direction."""
+    for t, h in sorted(g.directed_edges):
+        if mixed_directed_path_by_enumeration(g, h, t):
+            return True
+    for u, v in sorted(sorted(e) for e in g.bidirected_edges):
+        if any(mixed_directed_path_by_enumeration(g, a, b) for a, b in ((u, v), (v, u))):
+            return True
+    return False
+
+
+def collapsed_ordering_reference(g: Admg) -> tuple[str, ...]:
+    """The collapse as the paper states it, step by step: re-sort every
+    remaining bi-directed edge between supernodes (frozensets, compared by
+    their sorted members), take the least, search both directions for a mixed
+    directed path by enumeration, and drop the edge if one exists or merge the
+    pair if not. Then sort the supernode DAG topologically, least label first."""
+    children: dict[frozenset, set] = {frozenset({v}): set() for v in g.vertices}
+    parents: dict[frozenset, set] = {n: set() for n in children}
+    spouses: dict[frozenset, set] = {n: set() for n in children}
+    for t, h in g.directed_edges:
+        children[frozenset({t})].add(frozenset({h}))
+        parents[frozenset({h})].add(frozenset({t}))
+    for u, v in map(tuple, g.bidirected_edges):
+        spouses[frozenset({u})].add(frozenset({v}))
+        spouses[frozenset({v})].add(frozenset({u}))
+
+    def label(n):
+        return tuple(sorted(n))
+
+    while True:
+        edges = sorted(
+            (label(a), label(b), a, b) for a in spouses for b in spouses[a] if label(a) < label(b)
+        )
+        if not edges:
+            break
+        _, _, u, w = edges[0]
+        if _mixed_path_over(children, spouses, u, w) or _mixed_path_over(children, spouses, w, u):
+            spouses[u].discard(w)
+            spouses[w].discard(u)
+            continue
+        merged = u | w
+        for maps in (parents, children, spouses):
+            maps[merged] = (maps[u] | maps[w]) - {u, w}
+        for n in (u, w):
+            for p in parents.pop(n):
+                children[p].discard(n)
+            for c in children.pop(n):
+                parents[c].discard(n)
+            for s in spouses.pop(n):
+                spouses[s].discard(n)
+        for p in parents[merged]:
+            children[p].add(merged)
+        for c in children[merged]:
+            parents[c].add(merged)
+        for s in spouses[merged]:
+            spouses[s].add(merged)
+
+    order: list[str] = []
+    placed: set = set()
+    while len(placed) < len(children):
+        ready = [n for n in children if n not in placed and parents[n] <= placed]
+        n = min(ready, key=label)
+        placed.add(n)
+        order.extend(label(n))
+    return tuple(order)
+
+
+def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[str], list]:
+    """The basis procedure through the public, self-validating entry points,
+    one vertex at a time: the reduced-form statement where
+    ``reduced_form_applies``, else every ordered-local statement not certified
+    by ``redundant_ancestral_set``. Returns statements, provenance tags and
+    (pruned statement, index of the implying statement) pairs."""
+    order = list(ordering)
+    statements: list[CiStatement] = []
+    provenance: list[str] = []
+    pruned: list = []
+
+    def emit(stmt, tag):
+        if stmt not in statements:
+            statements.append(stmt)
+            provenance.append(tag)
+        return statements.index(stmt)
+
+    for x in order:
+        if reduced_form_applies(g, x, order):
+            indep = frozenset(g.vertices) - reduced_scope(g, x)
+            if indep:
+                emit(CiStatement([x], g.parents([x]), indep), REDUCED_FORM)
+            continue
+        top = None
+        for i, a in enumerate(maximal_ancestral_sets(g, x, order)):
+            mb = markov_blanket(g, x, a)
+            indep = a - mb - {x}
+            stmt = CiStatement([x], mb, indep) if indep else None
+            if i == 0:
+                top = emit(stmt, ORDERED_LOCAL) if stmt else None
+            elif redundant_ancestral_set(g, x, order, a):
+                if stmt:
+                    pruned.append((stmt, top))
+            elif stmt:
+                emit(stmt, ORDERED_LOCAL)
+    return statements, provenance, pruned
 
 
 def _proper_nonempty_subsets(s: frozenset):

@@ -116,9 +116,9 @@ class TestRelations:
             g = random_admg(rng, int(rng.integers(2, 8)))
             k = int(rng.integers(0, len(g.vertices) + 1))
             s = frozenset(rng.choice(g.vertices, size=k, replace=False))
-            closed = g.ancestral_closure(s)
+            closed = g.ancestors(s)
             assert s <= closed
-            assert g.ancestral_closure(closed) == closed
+            assert g.ancestors(closed) == closed
             assert g.is_ancestral(closed)
 
     def test_monotone_in_argument(self):

@@ -32,14 +32,10 @@ def random_statements(rng, vertices, count):
 
 
 class TestAxiomSet:
-    def test_semi_graphoid_rules_cannot_be_disabled(self):
-        with pytest.raises(InputError):
-            AxiomSet(composition=True, contraction=False)
-
     def test_flags(self):
         assert not SEMI_GRAPHOID.composition
         assert WITH_COMPOSITION.composition
-        assert SEMI_GRAPHOID.symmetry and SEMI_GRAPHOID.weak_union
+        assert AxiomSet(composition=True) == WITH_COMPOSITION
 
 
 class TestUniverse:

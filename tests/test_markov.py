@@ -98,7 +98,7 @@ class TestMaximalAncestralSets:
                 assert len(set(blankets)) == len(blankets)
                 for s, mb in zip(sets, blankets):
                     for v in sorted(pre - s):
-                        grown = g.ancestral_closure(s | {v})
+                        grown = g.ancestors(s | {v})
                         if grown <= pre:
                             assert markov_blanket(g, x, grown) != mb, (repr(g), x, v)
 

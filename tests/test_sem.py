@@ -23,7 +23,7 @@ from admgci import (
     sample_partial_correlation,
     simulate,
 )
-from admgci import CiStatement
+from admgci import CiStatement, PartialCorrTest
 from admgci import test_plan as build_test_plan
 from conftest import random_admg
 
@@ -291,6 +291,24 @@ class TestRunTests:
         assert first.error == "sample partial correlation is not finite"
         assert (first.r, first.reject) == (None, False)
         assert second.error is None
+
+    def test_r_matches_per_test_sample_covariance(self):
+        # run_tests takes submatrices of one covariance of all columns; the
+        # per-test covariance of sample_partial_correlation is the reference
+        rng = np.random.default_rng(5)
+        g = random_admg(rng, 10, p_dir=0.3, p_bi=0.2)
+        data = simulate(g, random_parameters(g, 5), 300, seed=6)
+        plan = []
+        for x, y in itertools.combinations(g.vertices, 2):
+            rest = [v for v in g.vertices if v not in (x, y)]
+            for k in range(5):
+                given = rng.choice(rest, size=k, replace=False)
+                plan.append(PartialCorrTest(x, y, frozenset(given), len(plan)))
+        results = run_tests(data, plan).results
+        for t, result in zip(plan, results):
+            assert result.error is None
+            expected_r = sample_partial_correlation(data, t.x, t.y, t.given)
+            assert abs(result.r - expected_r) < 1e-9
 
     def test_missing_column_rejected(self, figure2):
         data = DataTable(("a", "b"), np.zeros((10, 2)))
