@@ -2,22 +2,26 @@
 
 An ADMG has a set of vertices, a set of directed edges whose directed part is
 acyclic, and a set of bi-directed edges. A pair of vertices may carry both a
-directed and a bi-directed edge. Graphs are immutable after construction, so
-derived relations (ancestor closures, districts) are cached on the instance
-and instances are safe to share between threads.
+directed and a bi-directed edge. Graphs are immutable: each fact that takes
+one O(V+E) pass is derived in the constructor, and only per-vertex ancestor
+and descendant sets are cached on first use, so instances are safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from collections import deque
 from itertools import chain
 from typing import Collection, Iterable
 
-from .errors import InputError, InternalError
+from .errors import CapacityError, InputError
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+# adjacency reads allowed to the vertex-simple path searches of one
+# has_mixed_directed_path or build_collapsed_ordering call
+MIXED_PATH_BUDGET = 1_000_000
 
 
 def _check_name(name: str) -> str:
@@ -32,17 +36,14 @@ def _check_name(name: str) -> str:
 class Admg:
     """An acyclic directed mixed graph over named vertices.
 
-    Instances are immutable. Derived structure is cached on first use:
-
-    - ancestor and descendant closures, and districts;
-    - the parent and child maps of the latent-augmented DAG (one latent
-      parent per bi-directed edge), on which :func:`admgci.msep.m_separated`
-      runs its single early-exit reachability pass;
-    - the strongly connected components of the mixed graph (directed edges
-      forward, bi-directed edges both ways) and which of them hold a directed
-      edge, which answer :meth:`has_mixed_directed_cycle` and tell
-      :func:`admgci.markov.build_collapsed_ordering` where a mixed directed
-      path can exist at all.
+    Instances are immutable. The constructor derives, in O(V+E) each: the
+    parent, child and spouse maps, the one representation every algorithm
+    reads (sorted tuples, which iterate fast and in the same order under any
+    hash seed); the least-name-first topological order, whose sort is also the
+    acyclicity check; the districts; and the strongly connected components of
+    the mixed graph (directed edges forward, bi-directed edges both ways),
+    with the *cyclic* ones that hold a directed edge. Ancestor and descendant
+    closures are cached per vertex on first use.
 
     Parameters
     ----------
@@ -91,49 +92,41 @@ class Admg:
         self._directed = frozenset(dir_edges)
         self._bidirected = frozenset(bi_edges)
 
-        self._parents: dict[str, frozenset[str]] = {}
-        self._children: dict[str, frozenset[str]] = {}
-        self._spouses: dict[str, frozenset[str]] = {}
         pa: dict[str, set[str]] = {v: set() for v in names}
         ch: dict[str, set[str]] = {v: set() for v in names}
         sp: dict[str, set[str]] = {v: set() for v in names}
         for tail, head in dir_edges:
             pa[head].add(tail)
             ch[tail].add(head)
-        for edge in bi_edges:
-            u, v = tuple(edge)
+        for u, v in map(tuple, bi_edges):
             sp[u].add(v)
             sp[v].add(u)
-        for v in names:
-            self._parents[v] = frozenset(pa[v])
-            self._children[v] = frozenset(ch[v])
-            self._spouses[v] = frozenset(sp[v])
+        self._parents, self._children, self._spouses = (
+            {v: tuple(sorted(m[v])) for v in names} for m in (pa, ch, sp)
+        )
 
-        self._assert_acyclic()
+        order = _lex_topological(names, pa, ch)
+        if len(order) != len(names):
+            cyclic = sorted(vset.difference(order))
+            raise InputError(f"directed part has a cycle through {{{','.join(cyclic)}}}")
+        self._order = tuple(order)
+
+        self._district: dict[str, frozenset[str]] = {}
+        for v in names:  # a district is met first at its least member
+            if v not in self._district:
+                comp = self._closure_of(v, sp, {})
+                self._district.update(dict.fromkeys(comp, comp))
+        self._components = tuple(dict.fromkeys(self._district.values()))
+
+        # each vertex's component in the mixed graph, named by a member; the
+        # cyclic components hold both ends of a directed edge
+        scc = self._scc = _strong_components(names, lambda v: chain(ch[v], sp[v]))
+        self._cyclic = frozenset(scc[t] for t, h in dir_edges if scc[t] == scc[h])
+        self._hash = hash((self._vertices, self._directed, self._bidirected))
 
         # lazy caches; safe because the graph never mutates
         self._an_cache: dict[str, frozenset[str]] = {}
         self._de_cache: dict[str, frozenset[str]] = {}
-        self._district_cache: dict[str, frozenset[str]] = {}
-        self._components: tuple[frozenset[str], ...] | None = None
-        self._latent_maps: tuple[dict, dict] | None = None  # see _latent_dag
-        self._scc_maps: tuple[dict, frozenset] | None = None  # see _mixed_sccs
-        self._hash: int | None = None
-
-    def _assert_acyclic(self) -> None:
-        indeg = {v: len(self._parents[v]) for v in self._vertices}
-        ready = deque(v for v in self._vertices if indeg[v] == 0)
-        seen = 0
-        while ready:
-            v = ready.popleft()
-            seen += 1
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if seen != len(self._vertices):
-            cyclic = sorted(v for v in self._vertices if indeg[v] > 0)
-            raise InputError(f"directed part has a cycle through {{{','.join(cyclic)}}}")
 
     # --- identity -----------------------------------------------------------
 
@@ -147,8 +140,6 @@ class Admg:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._vertices, self._directed, self._bidirected))
         return self._hash
 
     def __repr__(self) -> str:
@@ -189,48 +180,6 @@ class Admg:
             self._check_vertex(v)
         return out
 
-    def _latent_dag(self) -> tuple[dict[object, Collection], dict[object, Collection]]:
-        """Parent and child maps of the latent-augmented DAG, built on first use.
-
-        Every bi-directed edge u <-> v becomes a latent vertex
-        ``("latent", u, v)`` (u < v) whose children are u and v. The maps are
-        published with one assignment and never mutated, so threads that meet
-        a cold graph at worst build them twice.
-        """
-        maps = self._latent_maps
-        if maps is None:
-            latent = lambda u, v: ("latent", min(u, v), max(u, v))
-            parents: dict[object, Collection] = {
-                v: (*self._parents[v], *(latent(v, w) for w in self._spouses[v]))
-                for v in self._vertices
-            }
-            children: dict[object, Collection] = dict(self._children)
-            for u, v in map(tuple, self._bidirected):
-                parents[latent(u, v)] = ()
-                children[latent(u, v)] = (u, v)
-            maps = self._latent_maps = (parents, children)
-        return maps
-
-    def _mixed_sccs(self) -> tuple[dict[str, str], frozenset[str]]:
-        """Strongly connected components of the mixed graph H, built on first use.
-
-        H has an arc t -> h for every directed edge and arcs both ways for
-        every bi-directed edge. Returns the component of each vertex, named by
-        one of its members, and the set of *cyclic* components: those holding
-        both ends of some directed edge. O(V+E), published with one
-        assignment, like :meth:`_latent_dag`.
-        """
-        maps = self._scc_maps
-        if maps is None:
-            component = _strong_components(
-                self._vertices, lambda v: chain(self._children[v], self._spouses[v])
-            )
-            cyclic = frozenset(
-                component[t] for t, h in self._directed if component[t] == component[h]
-            )
-            maps = self._scc_maps = (component, cyclic)
-        return maps
-
     # --- structural relations -----------------------------------------------
 
     def parents(self, s: Collection[str]) -> frozenset[str]:
@@ -238,7 +187,7 @@ class Admg:
         s = self._check_set(s)
         out: set[str] = set()
         for v in s:
-            out |= self._parents[v]
+            out.update(self._parents[v])
         return frozenset(out)
 
     def children(self, s: Collection[str]) -> frozenset[str]:
@@ -246,7 +195,7 @@ class Admg:
         s = self._check_set(s)
         out: set[str] = set()
         for v in s:
-            out |= self._children[v]
+            out.update(self._children[v])
         return frozenset(out)
 
     def spouses(self, s: Collection[str]) -> frozenset[str]:
@@ -254,7 +203,7 @@ class Admg:
         s = self._check_set(s)
         out: set[str] = set()
         for v in s:
-            out |= self._spouses[v]
+            out.update(self._spouses[v])
         return frozenset(out)
 
     def _closure_of(self, v: str, step: dict[str, frozenset[str]], cache: dict) -> frozenset[str]:
@@ -291,26 +240,10 @@ class Admg:
 
     def district(self, x: str) -> frozenset[str]:
         """The c-component of ``x``: its connected component via bi-directed edges."""
-        self._check_vertex(x)
-        hit = self._district_cache.get(x)
-        if hit is not None:
-            return hit
-        comp = self._closure_of(x, self._spouses, {})
-        for v in comp:
-            self._district_cache[v] = comp
-        return comp
+        return self._district[self._check_vertex(x)]
 
     def c_components(self) -> tuple[frozenset[str], ...]:
         """Partition of the vertices into districts, ordered by least member."""
-        if self._components is None:
-            seen: set[str] = set()
-            comps = []
-            for v in self._vertices:
-                if v not in seen:
-                    comp = self.district(v)
-                    comps.append(comp)
-                    seen |= comp
-            self._components = tuple(comps)
         return self._components
 
     def induced_subgraph(self, a: Collection[str]) -> "Admg":
@@ -328,12 +261,13 @@ class Admg:
     def has_mixed_directed_path(self, alpha: str, beta: str) -> bool:
         """True iff a vertex-simple path from ``alpha`` to ``beta`` exists whose
         edges are all bi-directed or forward-pointing directed, with at least
-        one directed edge."""
+        one directed edge. Raises :class:`CapacityError` when the search needs
+        more than ``MIXED_PATH_BUDGET`` adjacency reads."""
         self._check_vertex(alpha)
         self._check_vertex(beta)
         if alpha == beta:
             raise InputError("mixed directed paths require distinct endpoints")
-        return _mixed_path_search(self._children, self._spouses, alpha, beta)
+        return _mixed_path_search(self._children, self._spouses, alpha, beta, [MIXED_PATH_BUDGET])
 
     def has_mixed_directed_cycle(self) -> bool:
         """True iff some mixed directed path is closed by an opposing edge.
@@ -344,26 +278,30 @@ class Admg:
         shortest walk h ~> t in the mixed graph is a simple path, which
         t -> h closes into a mixed directed cycle (if that path is the single
         bi-directed edge h <-> t, the pair is a "bow": the path t -> h closed
-        by t <-> h). O(V+E) on first call, cached after.
+        by t <-> h). The components are found in the constructor.
         """
-        return bool(self._mixed_sccs()[1])
+        return bool(self._cyclic)
 
     def topological_ordering(self) -> tuple[str, ...]:
-        """A consistent ordering of the vertices (lexicographic tie-break)."""
-        indeg = {v: len(self._parents[v]) for v in self._vertices}
-        heap = [v for v in self._vertices if indeg[v] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            v = heapq.heappop(heap)
-            order.append(v)
-            for c in sorted(self._children[v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(heap, c)
-        if len(order) != len(self._vertices):
-            raise InternalError("topological sort failed on a validated acyclic graph")
-        return tuple(order)
+        """A consistent ordering of the vertices: the least ready name first."""
+        return self._order
+
+
+def _lex_topological(nodes: Iterable, parents, children) -> list:
+    """Kahn's topological sort, least ready node first. The result lacks every
+    node on or after a directed cycle, so it is short iff the maps hold one."""
+    indeg = {n: len(parents[n]) for n in nodes}
+    ready = [n for n, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for c in children[n]:
+            indeg[c] -= 1
+            if not indeg[c]:
+                heapq.heappush(ready, c)
+    return order
 
 
 def _strong_components(nodes: Iterable, successors) -> dict:
@@ -406,7 +344,7 @@ def _strong_components(nodes: Iterable, successors) -> dict:
     return component
 
 
-def _mixed_path_search(children, spouses, alpha, beta) -> bool:
+def _mixed_path_search(children, spouses, alpha, beta, budget: list[int]) -> bool:
     """Vertex-simple mixed directed path test, generic over node type.
 
     A witnessing path splits at its first directed edge into a simple
@@ -417,7 +355,19 @@ def _mixed_path_search(children, spouses, alpha, beta) -> bool:
     first edge with one plain reachability query. Vertex-simplicity cannot be
     dropped: a two-state walk search would accept walks that revisit the
     endpoint and have no simple witness.
+
+    The prefixes can be exponentially many, so ``budget``, a one-item list of
+    the adjacency reads left to one caller's searches, pays for each expanded
+    vertex's children and spouses; overspending raises :class:`CapacityError`.
     """
+
+    def expand(v) -> None:
+        budget[0] -= len(children[v]) + len(spouses[v])
+        if budget[0] < 0:
+            raise CapacityError(
+                f"the mixed directed path search from {alpha} to {beta} exceeded its "
+                f"budget of {MIXED_PATH_BUDGET} adjacency reads"
+            )
 
     def reaches(start, excluded) -> bool:
         if start == beta:
@@ -426,13 +376,8 @@ def _mixed_path_search(children, spouses, alpha, beta) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in children[v]:
-                if w == beta:
-                    return True
-                if w not in excluded and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-            for w in spouses[v]:
+            expand(v)
+            for w in chain(children[v], spouses[v]):
                 if w == beta:
                     return True
                 if w not in excluded and w not in seen:
@@ -443,6 +388,7 @@ def _mixed_path_search(children, spouses, alpha, beta) -> bool:
     on_prefix = {alpha}
 
     def first_edge_from(u) -> bool:
+        expand(u)
         return any(
             w == beta or (w not in on_prefix and reaches(w, on_prefix)) for w in children[u]
         )

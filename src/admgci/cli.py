@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check the ordered-local statements against the pruned basis"
     )
     add_common(p, order=True, cap=True)
-    p.add_argument("--mode", choices=("ordered-vs-reduced",), default="ordered-vs-reduced")
     p.add_argument(
         "--axioms", choices=("semigraphoid", "composition"), default="composition"
     )

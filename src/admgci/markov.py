@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable
 
-from .admg import Admg, _mixed_path_search, _strong_components, validate_ordering
+from .admg import MIXED_PATH_BUDGET, Admg, validate_ordering
+from .admg import _lex_topological, _mixed_path_search, _strong_components
 from .errors import CapacityError, InputError, InternalError
 from .statements import CiStatement, dedupe
 
@@ -68,7 +69,7 @@ def _blanket_in(g: Admg, x: str, members: frozenset[str]) -> frozenset[str]:
     dis = _district_in(g, x, members)
     pa: set[str] = set()
     for v in dis:
-        pa |= g._parents[v]
+        pa.update(g._parents[v])
     return frozenset((pa & members) | dis - {x})
 
 
@@ -84,7 +85,7 @@ def markov_blanket(g: Admg, x: str, a: Collection[str]) -> frozenset[str]:
         raise InputError(f"{x} is not a member of the conditioning set")
     if not g.is_ancestral(a):
         raise InputError("markov_blanket requires an ancestral vertex set")
-    if g._children[x] & a:
+    if not a.isdisjoint(g._children[x]):
         raise InputError(f"{x} has children inside the given ancestral set")
     return _blanket_in(g, x, a)
 
@@ -244,15 +245,6 @@ def reduced_local_markov(g: Admg) -> list[CiStatement]:
 # --- collapsed ordering construction ------------------------------------------
 
 
-def _mixed_path_between_nodes(
-    children: dict[str, set[str]], spouses: dict[str, set[str]], u: str, w: str
-) -> bool:
-    """Mixed directed path between supernodes, in either direction."""
-    return _mixed_path_search(children, spouses, u, w) or _mixed_path_search(
-        children, spouses, w, u
-    )
-
-
 def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
     """Construct a consistent ordering that keeps confounded vertices together.
 
@@ -280,13 +272,28 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
     merged pair already reach each other both ways: they stay those of the
     original graph until a drop, which can split only the component that held
     the dropped edge, and only that component is decomposed again.
+
+    All searches of one call share a budget of ``MIXED_PATH_BUDGET``
+    adjacency reads; past it, :class:`CapacityError` names the pair and the
+    size of its cyclic component.
     """
     members = {v: [v] for v in g.vertices}
     parents = {v: set(g._parents[v]) for v in g.vertices}
     children = {v: set(g._children[v]) for v in g.vertices}
     spouses = {v: set(g._spouses[v]) for v in g.vertices}
-    scc, cyclic = g._mixed_sccs()
-    component, cyclic = dict(scc), set(cyclic)  # keyed by supernode name
+    component, cyclic = dict(g._scc), set(g._cyclic)  # keyed by supernode name
+    budget = [MIXED_PATH_BUDGET]
+
+    def linked(u: str, w: str) -> bool:
+        """A mixed directed path between supernodes, in either direction."""
+        try:
+            return _mixed_path_search(children, spouses, u, w, budget) or _mixed_path_search(
+                children, spouses, w, u, budget
+            )
+        except CapacityError as exc:
+            size = sum(len(members[n]) for n in members if component[n] == component[u])
+            raise CapacityError(f"{exc}, in a cyclic component of {size} vertices") from None
+
     heap = [tuple(sorted(e)) for e in g.bidirected_edges]
     heapq.heapify(heap)
     while heap:
@@ -294,7 +301,7 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
         if u not in members or w not in spouses[u]:
             continue  # u was merged into a lesser supernode, or the edge is gone
         root = component[u]
-        if root in cyclic and _mixed_path_between_nodes(children, spouses, u, w):
+        if root in cyclic and linked(u, w):
             spouses[u].discard(w)
             spouses[w].discard(u)
             # the component stays connected through u or w, ignoring directions
@@ -344,17 +351,7 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
             members[u], absorbed = absorbed, members[u]
         members[u].extend(absorbed)
 
-    indeg = {n: len(parents[n]) for n in members}
-    heap = [n for n in members if indeg[n] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        n = heapq.heappop(heap)
-        order.extend(sorted(members[n]))
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
+    order = [v for n in _lex_topological(members, parents, children) for v in sorted(members[n])]
     if len(order) != len(g.vertices):
         raise InternalError("collapsed graph is not a DAG")
     return validate_ordering(g, order)
@@ -378,7 +375,7 @@ def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
     positions = [pos[v] for v in dp]
     if max(positions) - min(positions) != len(positions) - 1:
         return False
-    return all(not (g._children[v] & dp) for v in dp)
+    return all(dp.isdisjoint(g._children[v]) for v in dp)
 
 
 def redundant_ancestral_set(

@@ -1,18 +1,19 @@
 """m-separation: a linear-time decision procedure and a brute-force path oracle.
 
-The fast path works on the latent-augmented DAG, in which every bi-directed
-edge u <-> v becomes a latent common parent ``("latent", u, v)``. Its parent
-and child maps are built once per graph and cached on the :class:`Admg`
-(``Admg._latent_dag``). A query is one multi-source reachability pass over
-that DAG, Shachter's "Bayes-Ball" form of Koller & Friedman, Alg. 3.1: every
-member of x starts in the "up" state, up- and down-visits are kept in two
-sets, and the pass answers "connected" as soon as it reaches a member of y.
-A collider in z sends the pass back up to its parents; a collider with a
-descendant in z is opened the same way, by the walk down to that descendant
-and back up, so no ancestor set of z is computed. The cost is the part of
-the graph the pass reaches. Latents are never conditioned on. The oracle
-enumerates vertex-simple paths and applies the collider / non-collider
-conditions literally; it is intentionally small-graph only.
+m-separation in an ADMG is d-separation in its canonical DAG, where each
+u <-> v gets a latent common parent (Richardson 2003). The fast path walks
+the :class:`Admg`'s own parent, child and spouse maps instead, crossing
+u <-> v into an arrowhead at the far end, as the latent would. A query is one
+multi-source Bayes-Ball pass (Shachter 1998; Koller & Friedman, Alg. 3.1):
+every member of x starts "up", up- and down-visits live in two sets, and the
+pass answers "connected" on reaching a member of y. An up-visit outside z
+moves up to parents and down to children and spouses; a down-visit outside z
+moves down to children. A collider in z sends the pass back up to its
+parents and down across its bi-directed edges; a collider with a descendant
+in z opens the same way, by the walk down to that descendant and back up, so
+no ancestor set of z is computed. The oracle enumerates vertex-simple paths
+and applies the collider / non-collider conditions literally; it is
+intentionally small-graph only.
 """
 
 from __future__ import annotations
@@ -43,22 +44,23 @@ def m_separated(
 ) -> bool:
     """True iff no m-connecting path exists between ``x_set`` and ``y_set`` given ``z_set``."""
     x, y, z = _validate_query(g, x_set, y_set, z_set)
-    parents, children = g._latent_dag()
-    # "up": entered from a child (or a source); "down": entered from a parent
-    up_seen: set[object] = set(x)
-    down_seen: set[object] = set()
-    up_todo: list[object] = list(x)
-    down_todo: list[object] = []
+    parents, children, spouses = g._parents, g._children, g._spouses
+    # "up": entered from a child (or a source); "down": entered through an
+    # arrowhead, from a parent or across a bi-directed edge
+    up_seen: set[str] = set(x)
+    down_seen: set[str] = set()
+    up_todo: list[str] = list(x)
+    down_todo: list[str] = []
     while up_todo or down_todo:
         if up_todo:
             v = up_todo.pop()
             if v in z:  # a non-collider in z blocks
                 continue
-            ups, downs = parents[v], children[v]
+            ups, downs = parents[v], children[v] + spouses[v]
         else:
             v = down_todo.pop()
-            if v in z:  # a collider in z: bounce back to its parents
-                ups, downs = parents[v], ()
+            if v in z:  # a collider in z: bounce back to its parents and spouses
+                ups, downs = parents[v], spouses[v]
             else:
                 ups, downs = (), children[v]
         for p in ups:

@@ -216,6 +216,9 @@ class DataTable:
             except StopIteration:
                 raise InputError("empty data file: a header row is required") from None
             variables = tuple(h.strip() for h in header)
+            if len(set(variables)) != len(variables):
+                duplicate = next(v for v in variables if variables.count(v) > 1)
+                raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
             rows = []
             blank_lines = []
             for lineno, row in enumerate(reader, start=2):

@@ -1,10 +1,10 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately avoid the package's algorithms: d- and m-separation go
-through moralization, mixed-directed-path and -cycle detection enumerate
-simple paths, the collapsed ordering re-sorts the edges and searches every
-pair, and the axiom closure applies one rule family at a time to the whole
-set.
+through moralization, the topological order scans for the least ready
+vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
+collapsed ordering re-sorts the edges and searches every pair, and the axiom
+closure applies one rule family at a time to the whole set.
 """
 
 from __future__ import annotations
@@ -96,6 +96,18 @@ def m_separated_latent_moral(g: Admg, x_set, y_set, z_set) -> bool:
                 seen.add(w)
                 stack.append(w)
     return True
+
+
+def least_ready_first_order(g: Admg) -> tuple[str, ...]:
+    """The topological order that places, at every step, the least-named
+    vertex whose parents are all placed; a quadratic scan, no heap."""
+    placed: list[str] = []
+    while len(placed) < len(g.vertices):
+        done = set(placed)
+        placed.append(
+            min(v for v in g.vertices if v not in done and g.parents([v]) <= done)
+        )
+    return tuple(placed)
 
 
 def _mixed_path_over(children, spouses, alpha, beta) -> bool:

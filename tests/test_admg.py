@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from admgci import Admg, InputError, validate_ordering
-from conftest import random_admg, random_dag
-from oracles import mixed_directed_path_by_enumeration
+from conftest import random_admg, random_dag, random_sparse_admg
+from oracles import least_ready_first_order, mixed_directed_path_by_enumeration
 
 
 class TestConstruction:
@@ -39,6 +39,18 @@ class TestConstruction:
             Admg(["x", "y", "z"], directed=[("x", "y"), ("y", "z"), ("z", "x")])
         with pytest.raises(InputError, match="cycle"):
             Admg(["x", "y"], directed=[("x", "y"), ("y", "x")])
+
+    def test_directed_cycle_error_text(self):
+        # the message lists every vertex on or after a cycle, in name order
+        with pytest.raises(InputError) as info:
+            Admg(
+                ["a", "w", "x", "y", "z"],
+                directed=[("a", "x"), ("x", "y"), ("y", "z"), ("z", "x"), ("z", "w")],
+            )
+        assert str(info.value) == "directed part has a cycle through {w,x,y,z}"
+        with pytest.raises(InputError) as info:
+            Admg(["x", "y"], directed=[("x", "y"), ("y", "x")])
+        assert str(info.value) == "directed part has a cycle through {x,y}"
 
     def test_parallel_directed_and_bidirected_allowed(self):
         g = Admg(["x", "y"], directed=[("x", "y")], bidirected=[("x", "y")])
@@ -192,6 +204,14 @@ class TestOrderings:
         for _ in range(30):
             g = random_admg(rng, int(rng.integers(2, 8)))
             validate_ordering(g, g.topological_ordering())
+
+    def test_topological_ordering_is_least_ready_first(self):
+        # simulate's draws follow this order, so its tie-break is pinned
+        rng = np.random.default_rng(19)
+        graphs = [random_admg(rng, int(rng.integers(1, 11))) for _ in range(300)]
+        graphs += [random_sparse_admg(rng, 60) for _ in range(20)]
+        for g in graphs:
+            assert g.topological_ordering() == least_ready_first_order(g), repr(g)
 
     def test_validate_ordering_rejects_non_permutations(self, figure2):
         with pytest.raises(InputError, match="permutation"):

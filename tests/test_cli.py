@@ -115,6 +115,7 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["analyze", "figure2", "--bogus"]) == 2
+        assert main(["verify", "figure2", "--mode", "ordered-vs-reduced"]) == 2
 
     @pytest.mark.parametrize(
         "command",

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from admgci import Admg, m_separated, maximal_ancestral_sets, reduced_basis
+from admgci import Admg, m_separated, maximal_ancestral_sets, reduced_basis, reduced_scope
 from conftest import random_admg, random_sparse_admg
 
 
@@ -36,8 +36,9 @@ def test_shared_graph_queries_are_thread_safe():
 
 
 def test_cold_graph_first_queries_from_eight_threads():
-    # the latent-augmented maps are built by whichever query comes first; on a
-    # fresh graph, eight threads make their first queries at the same moment
+    # m-separation reads only maps the constructor built, while the ancestor
+    # and descendant caches are filled by whichever call comes first; on a
+    # fresh graph, eight threads make their first calls at the same moment
     rng = np.random.default_rng(71)
     template = random_sparse_admg(rng, 300)
     queries = []
@@ -47,21 +48,33 @@ def test_cold_graph_first_queries_from_eight_threads():
         queries.append((x, y, sorted(template.parents(x) - set(x) - set(y))))
     sequential = [m_separated(template, *q) for q in queries]
     assert 0 < sum(sequential) < len(queries)
+    probes = list(template.vertices[::7])
+    scopes = [reduced_scope(template, v) for v in probes]
+    ancestors = [template.ancestors([v]) for v in probes]
 
     def worker(shift):
         barrier.wait()
         order = queries[shift:] + queries[:shift]
         answers = [m_separated(cold, *q) for q in order]
-        return answers[len(queries) - shift :] + answers[: len(queries) - shift]
+        turn = probes[shift:] + probes[:shift]
+        got_scopes = {v: reduced_scope(cold, v) for v in turn}
+        got_ancestors = {v: cold.ancestors([v]) for v in reversed(turn)}
+        return (
+            answers[len(queries) - shift :] + answers[: len(queries) - shift],
+            [got_scopes[v] for v in probes],
+            [got_ancestors[v] for v in probes],
+        )
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, also during the build
+    sys.setswitchinterval(1e-6)  # switch threads often, also inside the cache fills
     try:
         for _ in range(5):
             cold = Admg(template.vertices, template.directed_edges, template.bidirected_edges)
             barrier = threading.Barrier(8, timeout=60)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                for answers in pool.map(worker, range(0, 40, 5)):
+                for answers, got_scopes, got_ancestors in pool.map(worker, range(0, 40, 5)):
                     assert answers == sequential
+                    assert got_scopes == scopes
+                    assert got_ancestors == ancestors
     finally:
         sys.setswitchinterval(interval)

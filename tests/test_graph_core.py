@@ -6,7 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from admgci import Admg, build_collapsed_ordering, reduced_basis
+from admgci import (
+    Admg,
+    CapacityError,
+    build_collapsed_ordering,
+    format_graph,
+    reduced_basis,
+    validate_ordering,
+)
+from admgci.admg import MIXED_PATH_BUDGET
 from admgci.cli import main
 from conftest import random_admg
 from oracles import (
@@ -54,6 +62,11 @@ def bidirected_ladder(rungs: int, directed=()) -> Admg:
     b = [f"b{i}" for i in range(rungs)]
     rails = [*zip(a, a[1:]), *zip(b, b[1:])]
     return Admg(a + b, directed, [*zip(a, b), *rails])
+
+
+def closed_ladder(rungs: int) -> Admg:
+    """The bi-directed ladder with the one directed edge b{r-1} -> a0."""
+    return bidirected_ladder(rungs, [(f"b{rungs - 1}", "a0")])
 
 
 class TestAgainstOracles:
@@ -113,3 +126,29 @@ class TestBeyondRecursionDepth:
     @pytest.mark.parametrize("edge", [("a0", "b5"), ("b4999", "a0")])
     def test_ten_thousand_vertex_ladder_with_one_directed_edge(self, edge):
         assert bidirected_ladder(5000, [edge]).has_mixed_directed_cycle()
+
+
+class TestSearchBudget:
+    # the vertex-simple path search grows about x4 per two rungs of a closed
+    # ladder: 16 rungs (32 vertices) fit the budget, 22 rungs (44) do not
+    def test_closed_ladder_within_budget(self):
+        g = closed_ladder(16)
+        validate_ordering(g, build_collapsed_ordering(g))
+
+    def test_closed_ladder_over_budget(self):
+        g = closed_ladder(22)
+        refused = (
+            f"from a0 to a1 exceeded its budget of {MIXED_PATH_BUDGET} adjacency reads"
+        )
+        with pytest.raises(CapacityError, match=f"{refused}, in a cyclic component of 44 "):
+            build_collapsed_ordering(g)
+        with pytest.raises(CapacityError, match=refused):
+            g.has_mixed_directed_path("a0", "a1")
+
+    @pytest.mark.parametrize("command", ["order", "analyze"])
+    def test_closed_ladder_from_the_cli_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "ladder.txt"
+        path.write_text(format_graph(closed_ladder(22)))
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and "component of 44 vertices" in err

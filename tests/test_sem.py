@@ -194,6 +194,13 @@ class TestSimulate:
         with pytest.raises(InputError, match="line 2"):
             DataTable.from_csv(path)
 
+    def test_csv_rejects_duplicate_columns(self, tmp_path):
+        # otherwise the first c would win and the second column go unread
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,c, c\n1.0,2.0,3.0,4.0\n")
+        with pytest.raises(InputError, match="line 1: duplicate column 'c' in the header"):
+            DataTable.from_csv(path)
+
     @pytest.mark.parametrize(
         "body, line, cell",
         [
