@@ -17,7 +17,7 @@ from typing import Collection, Iterable
 
 from .errors import CapacityError, InputError
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")  # used with fullmatch
 
 # adjacency reads allowed to the vertex-simple path searches of one
 # has_mixed_directed_path or build_collapsed_ordering call
@@ -25,7 +25,7 @@ MIXED_PATH_BUDGET = 1_000_000
 
 
 def _check_name(name: str) -> str:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise InputError(
             f"invalid vertex name {name!r}: expected a non-empty string of "
             "letters, digits and underscores"

@@ -27,7 +27,7 @@ def parse_graph(text: str) -> Admg:
 
     def name(token: str, lineno: int) -> str:
         token = token.strip()
-        if not _NAME_RE.match(token):
+        if not _NAME_RE.fullmatch(token):
             raise GraphParseError(
                 f"invalid vertex name {token!r} (letters, digits, underscore)", lineno
             )

@@ -120,7 +120,7 @@ def _maximal_ancestral_sets(
     an_masks = []
     for v in pre:
         m = 0
-        for a in g.ancestors([v]):
+        for a in g._closure_of(v, g._parents, g._an_cache):
             m |= 1 << index[a]  # ancestors of a prefix member stay in the prefix
         an_masks.append(m)
     x_bit = 1 << index[x]
@@ -218,7 +218,21 @@ def reduced_scope(g: Admg, x: str) -> frozenset[str]:
     independent of ``x`` given its parents. Always contains ``x``.
     """
     g._check_vertex(x)
-    return g.parents([x]) | g.descendants({x} | g.spouses([x]))
+    return frozenset().union(*_scope_parts(g, x))
+
+
+def _scope_parts(g: Admg, x: str) -> list:
+    """The parents of ``x`` and the cached descendant sets of ``x`` and of each
+    of its spouses, whose union is :func:`reduced_scope`."""
+    de = [g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x])]
+    return [g._parents[x], *de]
+
+
+def _reduced_statement(g: Admg, x: str, all_v: frozenset[str]) -> CiStatement | None:
+    """The reduced-form statement of ``x``, or ``None`` when its independence
+    side is empty; ``all_v`` is the vertex set of ``g``."""
+    indep = all_v.difference(*_scope_parts(g, x))
+    return CiStatement((x,), g._parents[x], indep) if indep else None
 
 
 def reduced_local_markov(g: Admg) -> list[CiStatement]:
@@ -233,13 +247,8 @@ def reduced_local_markov(g: Admg) -> list[CiStatement]:
             "graph has a mixed directed cycle; the one-statement-per-vertex "
             "form does not apply - use reduced_basis() instead"
         )
-    all_v = frozenset(g.vertices)
-    statements = []
-    for x in g.vertices:
-        indep = all_v - reduced_scope(g, x)
-        if indep:
-            statements.append(CiStatement([x], g.parents([x]), indep))
-    return dedupe(statements)
+    statements = (_reduced_statement(g, x, g._vset) for x in g.vertices)
+    return dedupe(st for st in statements if st is not None)
 
 
 # --- collapsed ordering construction ------------------------------------------
@@ -371,7 +380,7 @@ def reduced_form_applies(g: Admg, x: str, ordering: Iterable[str]) -> bool:
 
 def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
     """:func:`reduced_form_applies` given the positions of a validated ordering."""
-    dp = frozenset(v for v in g.district(x) if pos[v] <= pos[x])
+    dp = frozenset(v for v in g._district[x] if pos[v] <= pos[x])
     positions = [pos[v] for v in dp]
     if max(positions) - min(positions) != len(positions) - 1:
         return False
@@ -433,27 +442,24 @@ def reduced_basis(
     order = (
         build_collapsed_ordering(g) if ordering is None else validate_ordering(g, ordering)
     )
-    all_v = frozenset(g.vertices)
     statements: list[CiStatement] = []
     provenance: list[str] = []
     pruned: list[PrunedStatement] = []
-    index_of: dict[tuple, int] = {}
+    index_of: dict[CiStatement, int] = {}
 
     def emit(stmt: CiStatement, tag: str) -> int:
-        at = index_of.get(stmt.key)
-        if at is None:
-            at = len(statements)
+        at = index_of.setdefault(stmt, len(statements))
+        if at == len(statements):  # first occurrence
             statements.append(stmt)
             provenance.append(tag)
-            index_of[stmt.key] = at
         return at
 
     pos = {v: i for i, v in enumerate(order)}
     for i, x in enumerate(order):
         if _reduced_form_applies(g, x, pos):
-            indep = all_v - reduced_scope(g, x)
-            if indep:
-                emit(CiStatement([x], g.parents([x]), indep), REDUCED_FORM)
+            stmt = _reduced_statement(g, x, g._vset)
+            if stmt is not None:
+                emit(stmt, REDUCED_FORM)
             continue
 
         sets = _maximal_ancestral_sets(g, x, order[: i + 1], cap)

@@ -3,7 +3,7 @@
 A statement asserts that the variables in ``x`` are jointly independent of
 the variables in ``y`` given the variables in ``z``. The symmetry axiom
 identifies a statement with its x/y swap, so equality and hashing go through
-a canonical key that puts the lexicographically smaller side first. The
+a key that holds the two sides as an unordered pair; only display sorts. The
 as-constructed orientation is preserved for display: producers put the
 vertex a rule was applied to on the ``x`` side.
 """
@@ -29,18 +29,16 @@ class CiStatement:
         fx, fz, fy = frozenset(x), frozenset(z), frozenset(y)
         if not fx or not fy:
             raise InputError("a CI statement needs non-empty sets on both independence sides")
-        if fx & fy or fx & fz or fy & fz:
+        if not (fx.isdisjoint(fy) and fx.isdisjoint(fz) and fy.isdisjoint(fz)):
             raise InputError("the three sets of a CI statement must be pairwise disjoint")
         object.__setattr__(self, "x", fx)
         object.__setattr__(self, "z", fz)
         object.__setattr__(self, "y", fy)
-        tx, tz, ty = tuple(sorted(fx)), tuple(sorted(fz)), tuple(sorted(fy))
-        key = (tx, tz, ty) if tx <= ty else (ty, tz, tx)
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_key", (frozenset((fx, fy)), fz))
 
     @property
     def key(self) -> tuple:
-        """Symmetry-canonical identity: the smaller independence side first."""
+        """Symmetry-canonical identity ``(frozenset({x, y}), z)``, never sorted."""
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -74,11 +72,6 @@ class CiStatement:
 
 
 def dedupe(statements: Iterable[CiStatement]) -> list[CiStatement]:
-    """Drop canonical duplicates, keeping first occurrences in order."""
-    seen: set[tuple] = set()
-    out: list[CiStatement] = []
-    for st in statements:
-        if st.key not in seen:
-            seen.add(st.key)
-            out.append(st)
-    return out
+    """Drop canonical duplicates, keeping first occurrences in order (a dict
+    keeps the first of two equal keys)."""
+    return list(dict.fromkeys(statements))

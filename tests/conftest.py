@@ -70,3 +70,26 @@ def random_sparse_admg(rng: np.random.Generator, n: int, window=8, max_parents=3
         i, j = rng.choice(n, size=2, replace=False)
         bidirected.add((names[min(i, j)], names[max(i, j)]))
     return Admg(names, directed, bidirected)
+
+
+def district_chain_admg(rng: np.random.Generator, n: int, window=10, max_parents=3) -> Admg:
+    """A random ADMG on v0..v{n-1} with no mixed directed cycle.
+
+    The vertices fall into consecutive districts of 1..4, each a bi-directed
+    chain v_i <-> v_{i+1} <-> ...; every vertex takes up to ``max_parents``
+    parents among the ``window`` vertices before its district. Directed edges
+    thus only enter later districts and bi-directed edges stay inside one, so
+    no mixed directed path returns to where it started."""
+    names = [f"v{i}" for i in range(n)]
+    directed, bidirected = [], []
+    start = 0
+    while start < n:
+        end = min(n, start + int(rng.integers(1, 5)))
+        bidirected += [(names[i], names[i + 1]) for i in range(start, end - 1)]
+        lo = max(0, start - window)
+        for i in range(start, end):
+            k = int(rng.integers(0, min(max_parents, start - lo) + 1))
+            picks = rng.choice(np.arange(lo, start), size=k, replace=False)
+            directed += [(names[j], names[i]) for j in picks]
+        start = end
+    return Admg(names, directed, bidirected)

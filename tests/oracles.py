@@ -3,12 +3,15 @@
 These deliberately avoid the package's algorithms: d- and m-separation go
 through moralization, the topological order scans for the least ready
 vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
-collapsed ordering re-sorts the edges and searches every pair, and the axiom
-closure applies one rule family at a time to the whole set.
+collapsed ordering re-sorts the edges and searches every pair, the
+reduced-form statements walk the edge sets breadth first, statements are
+keyed by sorted name tuples, and the axiom closure applies one rule family at
+a time to the whole set.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, combinations
 
 from admgci import (
@@ -241,6 +244,47 @@ def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[
             elif stmt:
                 emit(stmt, ORDERED_LOCAL)
     return statements, provenance, pruned
+
+
+def sorted_statement_key(st: CiStatement) -> tuple:
+    """A statement's identity up to swapping its independence sides, as sorted
+    name tuples with the lexicographically smaller side first."""
+    tx, tz, ty = tuple(sorted(st.x)), tuple(sorted(st.z)), tuple(sorted(st.y))
+    return (tx, tz, ty) if tx <= ty else (ty, tz, tx)
+
+
+def reduced_statements_by_bfs(g: Admg, order) -> list[CiStatement]:
+    """The reduced-form statement I(x ; pa(x) ; V - pa(x) - de({x} | sp(x)))
+    of each vertex in ``order`` with a non-empty independence side, first
+    occurrences only. Reads nothing but ``g.directed_edges`` and
+    ``g.bidirected_edges``; descendants come from one breadth-first search
+    per vertex, and duplicates are found by :func:`sorted_statement_key`."""
+    parents = {v: set() for v in g.vertices}
+    children = {v: set() for v in g.vertices}
+    spouses = {v: set() for v in g.vertices}
+    for t, h in g.directed_edges:
+        parents[h].add(t)
+        children[t].add(h)
+    for u, w in map(tuple, g.bidirected_edges):
+        spouses[u].add(w)
+        spouses[w].add(u)
+    out, seen = [], set()
+    for x in order:
+        reached = {x} | spouses[x]
+        todo = deque(reached)
+        while todo:
+            for c in children[todo.popleft()]:
+                if c not in reached:
+                    reached.add(c)
+                    todo.append(c)
+        indep = set(g.vertices) - reached - parents[x]
+        if indep:
+            st = CiStatement([x], parents[x], indep)
+            key = sorted_statement_key(st)
+            if key not in seen:
+                seen.add(key)
+                out.append(st)
+    return out
 
 
 def _proper_nonempty_subsets(s: frozenset):

@@ -18,6 +18,15 @@ class TestConstruction:
         with pytest.raises(InputError, match="vertex name"):
             Admg([name])
 
+    def test_trailing_newline_in_name_rejected(self):
+        # a name that ended in "\n" would break the format_graph/parse_graph round trip
+        with pytest.raises(InputError) as err:
+            Admg(["a\n", "b"], [("a\n", "b")])
+        assert str(err.value) == (
+            "invalid vertex name 'a\\n': expected a non-empty string of "
+            "letters, digits and underscores"
+        )
+
     def test_self_loops_rejected(self):
         with pytest.raises(InputError, match="self-loop"):
             Admg(["x"], directed=[("x", "x")])

@@ -21,6 +21,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, seed=None):
+    """Run a fresh interpreter on the package in ``src``, optionally under a
+    fixed ``PYTHONHASHSEED``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    if seed is not None:
+        env["PYTHONHASHSEED"] = seed
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out), err
@@ -128,18 +141,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("module", ["admgci", "admgci.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "components", "figure1"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_process("-m", module, "components", "figure1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDENS / "figure1_components.txt").read_text()
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # statements hash through frozensets, so set order must never reach the output
+        golden = (GOLDENS / "figure3_auto.txt").read_text()
+        verify = []
+        for seed in ("1", "2"):
+            proc = run_process("-m", "admgci", "analyze", "figure3", "--mode", "auto", seed=seed)
+            assert (proc.returncode, proc.stdout) == (0, golden), proc.stderr
+            proc = run_process(
+                "-m", "admgci", "verify", "figure2", "--axioms", "composition",
+                "--format", "json", seed=seed,
+            )
+            verify.append((proc.returncode, proc.stdout))
+        assert verify[0] == verify[1] and verify[0][0] == 0 and json.loads(verify[0][1])
 
     def test_inconsistent_order_rejected(self, capsys):
         code, _, err = run(

@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 
 from admgci import (
+    REDUCED_FORM,
     Admg,
     CapacityError,
+    InputError,
     build_collapsed_ordering,
     format_graph,
     reduced_basis,
+    reduced_local_markov,
+    reduced_scope,
     validate_ordering,
 )
 from admgci.admg import MIXED_PATH_BUDGET
 from admgci.cli import main
-from conftest import random_admg
+from conftest import district_chain_admg, random_admg
 from oracles import (
     collapsed_ordering_reference,
     mixed_directed_cycle_by_enumeration,
     reduced_basis_reference,
+    reduced_statements_by_bfs,
 )
 
 
@@ -101,6 +106,31 @@ class TestAgainstOracles:
             g = bidirected_chain(n)
             assert collapsed_ordering_reference(g) == chain_ordering(n)
             assert build_collapsed_ordering(g) == chain_ordering(n)
+
+
+def sides(statements):
+    """Each statement's sides as constructed, so orientation counts too."""
+    return [(st.x, st.z, st.y) for st in statements]
+
+
+class TestReducedStatementsAtScale:
+    """The one-statement-per-vertex form on graphs of hundreds of vertices,
+    against a breadth-first oracle that shares no code with the package."""
+
+    @pytest.mark.parametrize("seed,n", [(1, 200), (2, 450), (3, 700), (4, 1000)])
+    def test_basis_and_reduced_form_match_the_oracle(self, seed, n):
+        g = district_chain_admg(np.random.default_rng(seed), n)
+        assert not g.has_mixed_directed_cycle()
+        assert max(len(d) for d in g.c_components()) == 4
+        basis = reduced_basis(g)
+        assert set(basis.provenance) == {REDUCED_FORM} and not basis.pruned
+        assert sides(basis.statements) == sides(reduced_statements_by_bfs(g, basis.ordering))
+        assert sides(reduced_local_markov(g)) == sides(reduced_statements_by_bfs(g, g.vertices))
+
+    def test_scope_still_checks_its_vertex(self):
+        g = district_chain_admg(np.random.default_rng(5), 200)
+        with pytest.raises(InputError, match="unknown vertex 'nope'"):
+            reduced_scope(g, "nope")
 
 
 class TestBeyondRecursionDepth:

@@ -1,9 +1,11 @@
-"""Property tests of the graph text format, with examples drawn by hypothesis."""
+"""Property tests of the graph text format and of statement identity, with
+examples drawn by hypothesis."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admgci import Admg, InputError, format_graph, parse_graph
+from admgci import Admg, CiStatement, InputError, dedupe, format_graph, parse_graph
+from oracles import sorted_statement_key
 
 # derandomized, so every run of the suite draws the same examples
 examples = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -51,3 +53,41 @@ def test_random_text_parses_or_raises_input_error(text):
     except InputError:
         return
     assert parse_graph(format_graph(g)) == g
+
+
+# a statement over the names a..f: each name is absent ("-") or on one side
+SIDES = st.lists(st.sampled_from("-xzy"), min_size=6, max_size=6).filter(
+    lambda sides: "x" in sides and "y" in sides
+)
+SWAP = str.maketrans("xy", "yx")
+
+
+def statement(sides) -> CiStatement:
+    part = lambda side: [n for n, s in zip("abcdef", sides) if s == side]
+    return CiStatement(part("x"), part("z"), part("y"))
+
+
+@st.composite
+def statement_pairs(draw):
+    """Two statements; the second is the first, possibly flipped, with up to
+    two names moved, so equal and unequal pairs both occur often."""
+    first = draw(SIDES)
+    second = list("".join(first).translate(SWAP) if draw(st.booleans()) else first)
+    for i in draw(st.lists(st.integers(0, 5), max_size=2)):
+        second[i] = draw(st.sampled_from("-xzy"))
+    if "x" not in second or "y" not in second:
+        second = draw(SIDES)
+    return statement(first), statement(second)
+
+
+@examples
+@given(statement_pairs())
+def test_statement_identity_matches_the_sorted_key(pair):
+    a, b = pair
+    assert (a == b) == (sorted_statement_key(a) == sorted_statement_key(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a == a.flipped() and hash(a) == hash(a.flipped())
+    kept = dedupe([a, b.flipped(), a.flipped(), b])
+    expected = [a] if a == b else [a, b.flipped()]
+    assert [(s.x, s.z, s.y) for s in kept] == [(s.x, s.z, s.y) for s in expected]
