@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success / verification passed, 1 verification or statistical
-test failure, 2 input error, 3 capacity exceeded.
+test failure or an output pipe closed early, 2 input error, 3 capacity exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import implication, markov, msep, sem
@@ -283,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--cap",
                 type=int,
                 default=None,
-                help="size cap for the exponential enumeration/closure steps "
-                "(defaults: 16 for ancestral-set enumeration, 12 for the "
-                "closure universe)",
+                help="size cap for the exponential enumeration/closure steps (defaults: 16 "
+                "members of the vertex's district before it for the ancestral-set "
+                "enumeration, 12 vertices for the closure universe)",
             )
 
     p = sub.add_parser("components", help="c-components and mixed-cycle status")
@@ -359,7 +360,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe surfaces here rather than at exit
+    except BrokenPipeError:  # point stdout at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -94,11 +94,17 @@ def maximal_ancestral_sets(
     g: Admg, x: str, ordering: Iterable[str], cap: int = ANCESTRAL_ENUM_CAP
 ) -> list[frozenset[str]]:
     """All ancestral sets A with ``x in A <= pre(x)`` that are maximal with
-    respect to their Markov blanket.
+    respect to their Markov blanket: one per connected sub-district of ``x``.
 
-    Enumerated by brute force over subsets of the ordering prefix, bucketed
-    by blanket; within a bucket only sets with no proper ancestral superset
-    of equal blanket survive. Ordered by descending size, then name.
+    An ancestral A holds the parents of D = dis_A(x), so its blanket is
+    pa(D) | D - {x}, and D is the district of ``x`` in that blanket plus
+    ``x``: blankets and D match one to one. The ancestral sets with district
+    D avoid B = sp(D) & pre(x) - D, hence de(B), and pre(x) - de(B) is
+    ancestral: it is the one maximal set, kept iff it still holds D. The D
+    range over the bi-directed connected sets that hold ``x`` inside its
+    district within pre(x); :class:`CapacityError` is raised when more than
+    ``cap`` members of that district precede ``x``. Ordered by descending
+    size, then name.
     """
     order = validate_ordering(g, ordering)
     g._check_vertex(x)
@@ -109,69 +115,30 @@ def _maximal_ancestral_sets(
     g: Admg, x: str, pre: tuple[str, ...], cap: int
 ) -> list[frozenset[str]]:
     """:func:`maximal_ancestral_sets` for the validated prefix ``pre`` ending in ``x``."""
-    free = [v for v in pre if v != x]
-    if len(free) > cap:
+    prefix = frozenset(pre)
+    district = _district_in(g, x, prefix)
+    if len(district) - 1 > cap:
         raise CapacityError(
-            f"{len(free)} candidate vertices before {x} exceeds the enumeration "
-            f"cap of {cap}; raise the cap to force the exponential scan"
+            f"{len(district) - 1} members of the district of {x} come before it, over the "
+            f"enumeration cap of {cap}; raise the cap to enumerate up to 2^{len(district) - 1} "
+            "sub-districts"
         )
-
-    index = {v: i for i, v in enumerate(pre)}
-    an_masks = []
-    for v in pre:
-        m = 0
-        for a in g._closure_of(v, g._parents, g._an_cache):
-            m |= 1 << index[a]  # ancestors of a prefix member stay in the prefix
-        an_masks.append(m)
-    x_bit = 1 << index[x]
-    required = an_masks[index[x]]
-
-    free_bits = [1 << index[v] for v in free]
-    n_free = len(free_bits)
-    buckets: dict[frozenset[str], list[int]] = {}
-    for choice in range(1 << n_free):
-        mask = x_bit
-        for i in range(n_free):
-            if choice >> i & 1:
-                mask |= free_bits[i]
-        if mask & required != required:
-            continue
-        ancestral = True
-        m = mask
-        while m:
-            low = m & -m
-            if an_masks[low.bit_length() - 1] & ~mask:
-                ancestral = False
-                break
-            m ^= low
-        if not ancestral:
-            continue
-        members = frozenset(pre[i] for i in range(len(pre)) if mask >> i & 1)
-        blanket = _blanket_in(g, x, members)
-        buckets.setdefault(blanket, []).append(mask)
-
-    decode = {1 << i: pre[i] for i in range(len(pre))}
-
-    def unpack(m: int) -> frozenset[str]:
-        members = set()
-        while m:
-            low = m & -m
-            members.add(decode[low])
-            m ^= low
-        return frozenset(members)
-
+    # each step takes or excludes the least frontier vertex; at a leaf the
+    # excluded vertices are exactly the spouses of ``chosen`` in the prefix
     result: list[frozenset[str]] = []
-    for masks in buckets.values():
-        union = 0
-        for m in masks:
-            union |= m
-        if union in set(masks):
-            # every other set in the bucket is contained in it: unique maximum
-            result.append(unpack(union))
+    stack = [(frozenset({x}), district.intersection(g._spouses[x]), frozenset())]
+    while stack:
+        chosen, frontier, excluded = stack.pop()
+        if frontier:
+            v = min(frontier)
+            rest, grown = frontier - {v}, chosen | {v}
+            stack.append((chosen, rest, excluded | {v}))
+            reach = district.intersection(g._spouses[v]) - grown - excluded
+            stack.append((grown, rest | reach, excluded))
             continue
-        for m in masks:  # keep the masks not strictly contained in another
-            if not any(o != m and m & o == m for o in masks):
-                result.append(unpack(m))
+        blocked = frozenset().union(*(g._closure_of(b, g._children, g._de_cache) for b in excluded))
+        if chosen.isdisjoint(blocked):
+            result.append(prefix - blocked)
     result.sort(key=lambda s: (-len(s), tuple(sorted(s))))
     return result
 

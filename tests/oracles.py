@@ -4,9 +4,10 @@ These deliberately avoid the package's algorithms: d- and m-separation go
 through moralization, the topological order scans for the least ready
 vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
 collapsed ordering re-sorts the edges and searches every pair, the
-reduced-form statements walk the edge sets breadth first, statements are
-keyed by sorted name tuples, and the axiom closure applies one rule family at
-a time to the whole set.
+reduced-form statements walk the edge sets breadth first, the maximal
+ancestral sets scan every subset of the ordering prefix, statements are keyed
+by sorted name tuples, and the axiom closure applies one rule family at a
+time to the whole set.
 """
 
 from __future__ import annotations
@@ -206,6 +207,33 @@ def collapsed_ordering_reference(g: Admg) -> tuple[str, ...]:
         placed.add(n)
         order.extend(label(n))
     return tuple(order)
+
+
+def maximal_ancestral_sets_by_scan(g: Admg, x: str, ordering) -> list[frozenset[str]]:
+    """Every ancestral A with x in A <= pre(x), found by scanning all subsets
+    of the ordering prefix as bitmasks, bucketed by Markov blanket; the sets
+    of each bucket not strictly inside another of the same bucket survive.
+    Ordered by descending size, then name."""
+    order = list(ordering)
+    pre = order[: order.index(x) + 1]
+    bit = {v: 1 << i for i, v in enumerate(pre)}
+    an_mask = {v: sum(bit[a] for a in g.ancestors([v])) for v in pre}
+    buckets: dict[frozenset[str], list[int]] = {}
+    for mask in range(1 << len(pre)):
+        if not mask & bit[x]:
+            continue
+        if any(mask & bit[v] and an_mask[v] & ~mask for v in pre):
+            continue  # not ancestral
+        members = frozenset(v for v in pre if mask & bit[v])
+        buckets.setdefault(markov_blanket(g, x, members), []).append(mask)
+    result = [
+        frozenset(v for v in pre if m & bit[v])
+        for masks in buckets.values()
+        for m in masks
+        if not any(o != m and m & o == m for o in masks)
+    ]
+    result.sort(key=lambda s: (-len(s), tuple(sorted(s))))
+    return result
 
 
 def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[str], list]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import expected
-from admgci import GraphParseError, format_graph, parse_graph
+from admgci import Admg, GraphParseError, format_graph, parse_graph
 from admgci.cli import main
 from conftest import random_admg
 
@@ -21,16 +21,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, seed=None):
-    """Run a fresh interpreter on the package in ``src``, optionally under a
-    fixed ``PYTHONHASHSEED``."""
+def process_env(seed=None) -> dict:
+    """The environment of a fresh interpreter on the package in ``src``,
+    optionally under a fixed ``PYTHONHASHSEED``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     if seed is not None:
         env["PYTHONHASHSEED"] = seed
+    return env
+
+
+def run_process(*argv, seed=None):
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *argv], capture_output=True, text=True, env=process_env(seed), timeout=60
     )
 
 
@@ -123,7 +127,8 @@ class TestExitCodes:
         assert code == 2 and "mixed directed cycle" in err
 
     def test_capacity_errors_exit_3(self, capsys):
-        code, _, err = run(capsys, "analyze", "figure3", "--mode", "ordered", "--cap", "3")
+        # c has two members of its district, a and b, before it
+        code, _, err = run(capsys, "analyze", "figure3", "--mode", "ordered", "--cap", "1")
         assert code == 3 and "cap" in err
 
     def test_unknown_flag_exits_2(self, capsys):
@@ -144,6 +149,25 @@ class TestExitCodes:
         proc = run_process("-m", module, "components", "figure1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDENS / "figure1_components.txt").read_text()
+
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path):
+        # about 200 kB of JSON, more than a pipe buffers, so the writer is
+        # still writing when the reader closes the pipe after one line
+        names = [f"v{i}" for i in range(150)]
+        path = tmp_path / "path.txt"
+        path.write_text(format_graph(Admg(names, zip(names, names[1:]))))
+        argv = ["-m", "admgci", "analyze", str(path), "--mode", "reduced", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=process_env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_output_does_not_depend_on_the_hash_seed(self):
         # statements hash through frozensets, so set order must never reach the output

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from admgci import (
+    ORDERED_LOCAL,
     REDUCED_FORM,
     Admg,
     CapacityError,
@@ -20,9 +21,10 @@ from admgci import (
 )
 from admgci.admg import MIXED_PATH_BUDGET
 from admgci.cli import main
-from conftest import district_chain_admg, random_admg
+from conftest import district_chain_admg, random_admg, random_sparse_admg
 from oracles import (
     collapsed_ordering_reference,
+    m_separated_latent_moral,
     mixed_directed_cycle_by_enumeration,
     reduced_basis_reference,
     reduced_statements_by_bfs,
@@ -131,6 +133,40 @@ class TestReducedStatementsAtScale:
         g = district_chain_admg(np.random.default_rng(5), 200)
         with pytest.raises(InputError, match="unknown vertex 'nope'"):
             reduced_scope(g, "nope")
+
+
+def long_chain_with_bow() -> Admg:
+    """v0 -> ... -> v29 plus v27 -> v29 and v27 <-> v29: a mixed directed
+    cycle in a 30-vertex graph whose largest district has 2 vertices."""
+    names = [f"v{i}" for i in range(30)]
+    return Admg(names, [*zip(names, names[1:]), ("v27", "v29")], [("v27", "v29")])
+
+
+class TestMixedCyclesAtScale:
+    """The ancestral-set enumeration grows with a vertex's district, not
+    with its position in the ordering."""
+
+    def test_long_chain_with_a_bow(self):
+        g = long_chain_with_bow()
+        basis = reduced_basis(g)
+        assert len(basis.statements) == 28 and ORDERED_LOCAL in basis.provenance
+        for st in basis.statements:
+            assert m_separated_latent_moral(g, st.x, st.y, st.z), st.render()
+
+    def test_long_chain_with_a_bow_from_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "chain.txt"
+        path.write_text(format_graph(long_chain_with_bow()))
+        assert main(["analyze", str(path), "--mode", "auto"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 28
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sparse_graphs_with_mixed_cycles(self, seed):
+        g = random_sparse_admg(np.random.default_rng(seed), 300)
+        assert g.has_mixed_directed_cycle()
+        basis = reduced_basis(g)
+        assert basis.provenance.count(ORDERED_LOCAL) > 100 and basis.pruned
+        for st in basis.statements:
+            assert m_separated_latent_moral(g, st.x, st.y, st.z), st.render()
 
 
 class TestBeyondRecursionDepth:

@@ -25,6 +25,19 @@ from admgci import (
 )
 from admgci.markov import ORDERED_LOCAL, REDUCED_FORM, _district_in
 from conftest import random_admg, random_bidirected_graph, random_cycle_free_admg, random_dag
+from oracles import maximal_ancestral_sets_by_scan
+
+
+def _random_consistent_order(rng: np.random.Generator, g: Admg) -> list[str]:
+    """A uniformly drawn ready vertex at every step: a random consistent ordering."""
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(g.vertices):
+        ready = [v for v in g.vertices if v not in placed and g.parents([v]) <= placed]
+        v = ready[int(rng.integers(len(ready)))]
+        order.append(v)
+        placed.add(v)
+    return order
 
 
 class TestMarkovBlanket:
@@ -76,15 +89,33 @@ class TestMaximalAncestralSets:
             assert maximal_ancestral_sets(g, order[0], order) == [frozenset({order[0]})]
 
     def test_capacity(self):
-        g = Admg([f"v{i:02d}" for i in range(18)])
-        order = g.topological_ordering()
-        with pytest.raises(CapacityError):
-            maximal_ancestral_sets(g, order[-1], order)
-        small = Admg([f"v{i:02d}" for i in range(14)])
-        order = small.topological_ordering()
-        assert maximal_ancestral_sets(small, order[-1], order, cap=13) == [
-            frozenset(small.vertices)
+        # the cap counts the members of the vertex's district before it, not
+        # the prefix: 18 isolated vertices need no enumeration at all
+        names = [f"v{i:02d}" for i in range(18)]
+        assert maximal_ancestral_sets(Admg(names), "v17", names) == [frozenset(names)]
+        chain = Admg(names, bidirected=list(zip(names, names[1:])))
+        with pytest.raises(CapacityError, match="17 members of the district of v17"):
+            maximal_ancestral_sets(chain, "v17", names)
+        with pytest.raises(CapacityError, match="cap of 2"):
+            maximal_ancestral_sets(chain, "v03", names, cap=2)
+        assert maximal_ancestral_sets(chain, "v03", names, cap=3) == [
+            {"v00", "v01", "v02", "v03"},
+            {"v00", "v01", "v03"},
+            {"v00", "v02", "v03"},
+            {"v01", "v02", "v03"},
         ]
+
+    def test_matches_subset_scan(self):
+        rng = np.random.default_rng(35)
+        counts = {"one": 0, "several": 0}
+        for _ in range(1000):
+            g = random_admg(rng, int(rng.integers(2, 11)))
+            for order in (build_collapsed_ordering(g), _random_consistent_order(rng, g)):
+                for x in order:
+                    got = maximal_ancestral_sets(g, x, order)
+                    assert got == maximal_ancestral_sets_by_scan(g, x, order), (repr(g), order, x)
+                    counts["one" if len(got) == 1 else "several"] += 1
+        assert counts["one"] > 100 and counts["several"] > 100, counts
 
     def test_genuinely_maximal_with_distinct_blankets(self):
         rng = np.random.default_rng(21)
