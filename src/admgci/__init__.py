@@ -21,6 +21,7 @@ from .implication import (
 from .markov import (
     ORDERED_LOCAL,
     REDUCED_FORM,
+    PartialCorrTest,
     PrunedStatement,
     ReducedBasis,
     build_collapsed_ordering,
@@ -33,26 +34,23 @@ from .markov import (
     reduced_local_markov,
     reduced_scope,
     redundant_ancestral_set,
-)
-from .msep import connecting_paths, m_separated, m_separated_bruteforce
-from .sem import (
-    Covariance,
-    DataTable,
-    PartialCorrTest,
-    SemParameters,
-    TestReport,
-    TestResult,
-    implied_covariance,
-    partial_correlation,
-    random_parameters,
-    run_tests,
-    sample_partial_correlation,
-    simulate,
     test_plan,
 )
+from .msep import connecting_paths, m_separated, m_separated_bruteforce
 from .statements import CiStatement, dedupe
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the names of __all__ not bound above come from sem, which needs numpy:
+    # it is imported on the first access to one of them (PEP 562)
+    if name in __all__:
+        from . import sem
+
+        return getattr(sem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Admg",

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import implication, markov, msep, sem
+from . import implication, markov, msep
 from .admg import Admg, validate_ordering
 from .errors import CapacityError, GenerationError, InputError, NumericError
 from .graphio import load_graph
@@ -31,6 +31,16 @@ def _statement_json(st: CiStatement, provenance: str | None = None, implied_by=N
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _cap_arg(value: str) -> int:
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
 
 
 def _ordering_arg(g: Admg, value: str | None) -> tuple[str, ...] | None:
@@ -181,7 +191,7 @@ def _cmd_verify(args) -> int:
 
 def _plan_for(g: Admg, mode: str, ordering, cap: int):
     _, statements, _, _, _ = _analysis(g, mode, ordering, cap)
-    return sem.test_plan(statements)
+    return markov.test_plan(statements)
 
 
 def _cmd_sem_tests(args) -> int:
@@ -204,6 +214,8 @@ def _cmd_sem_tests(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sem  # numpy, which no graph-only subcommand loads
+
     g = load_graph(args.graph)
     params = sem.random_parameters(g, args.seed)
     table = sem.simulate(g, params, args.n, args.seed)
@@ -216,6 +228,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sem_check(args) -> int:
+    from . import sem
+
     g = load_graph(args.graph)
     data = sem.DataTable.from_csv(args.data)
     ordering = _ordering_arg(g, args.order)
@@ -282,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument(
                 "--cap",
-                type=int,
+                type=_cap_arg,
                 default=None,
                 help="size cap for the exponential enumeration/closure steps (defaults: 16 "
                 "members of the vertex's district before it for the ancestral-set "

@@ -10,6 +10,12 @@ class InputError(ValueError):
     """Invalid user input: malformed graphs, bad queries, broken preconditions."""
 
 
+def file_error(path, exc: OSError | UnicodeDecodeError, verb: str = "read") -> InputError:
+    """The :class:`InputError` for a file that cannot be read or written."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return InputError(f"cannot {verb} {str(path)!r}: {reason}")
+
+
 class GraphParseError(InputError):
     """Syntax or structural error in the graph text format."""
 

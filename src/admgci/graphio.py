@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .admg import Admg, _NAME_RE
-from .errors import GraphParseError, InputError
+from .errors import GraphParseError, InputError, file_error
 
 FIXTURE_NAMES = ("figure1", "figure2", "figure3")
 
@@ -92,8 +92,12 @@ def fixture_graph(name: str) -> Admg:
 def load_graph(path_or_fixture: str) -> Admg:
     """Load a graph from a file path, falling back to bundled fixture names."""
     p = Path(path_or_fixture)
-    if p.exists():
-        return parse_graph(p.read_text())
+    try:
+        text = p.read_text() if p.exists() else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise file_error(path_or_fixture, exc) from None
+    if text is not None:
+        return parse_graph(text)
     if path_or_fixture in FIXTURE_NAMES:
         return fixture_graph(path_or_fixture)
     raise InputError(

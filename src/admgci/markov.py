@@ -453,3 +453,37 @@ def reduced_basis(
                 emit(stmt, ORDERED_LOCAL)
 
     return ReducedBasis(order, tuple(statements), tuple(provenance), tuple(pruned))
+
+
+# --- the vanishing-partial-correlation tests a basis implies ---------------------
+
+
+@dataclass(frozen=True)
+class PartialCorrTest:
+    """A single vanishing-partial-correlation hypothesis."""
+
+    x: str
+    y: str
+    given: frozenset[str]
+    source_statement: int
+
+    def render(self) -> str:
+        if self.given:
+            return f"rho({self.x},{self.y} | {','.join(sorted(self.given))}) = 0"
+        return f"rho({self.x},{self.y}) = 0"
+
+
+def test_plan(basis: ReducedBasis | Iterable[CiStatement]) -> list[PartialCorrTest]:
+    """Expand statements into pairwise vanishing-partial-correlation tests,
+    deduplicated across statements."""
+    statements = basis.statements if isinstance(basis, ReducedBasis) else tuple(basis)
+    plan: list[PartialCorrTest] = []
+    seen: set[tuple] = set()
+    for i, st in enumerate(statements):
+        for x in sorted(st.x):
+            for y in sorted(st.y):
+                key = (min(x, y), max(x, y), st.z)
+                if key not in seen:
+                    seen.add(key)
+                    plan.append(PartialCorrTest(x, y, st.z, i))
+    return plan

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .admg import Admg, validate_ordering
-from .errors import GenerationError, InputError, NumericError
-from .markov import ReducedBasis
-from .statements import CiStatement
+from .errors import GenerationError, InputError, NumericError, file_error
+from .markov import PartialCorrTest, test_plan  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -201,49 +201,95 @@ class DataTable:
             raise InputError(f"data has no column {name!r}") from None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.variables)
-            for row in self.values:
-                writer.writerow([repr(float(v)) for v in row])
+        try:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(self.variables)
+                for row in self.values:
+                    writer.writerow([repr(float(v)) for v in row])
+        except OSError as exc:
+            raise file_error(path, exc, "write") from None
 
     @classmethod
     def from_csv(cls, path) -> "DataTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError("empty data file: a header row is required") from None
-            variables = tuple(h.strip() for h in header)
-            if len(set(variables)) != len(variables):
-                duplicate = next(v for v in variables if variables.count(v) > 1)
-                raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
-            rows = []
-            blank_lines = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    blank_lines.append(lineno)
-                    continue
-                if len(row) != len(variables):
-                    raise InputError(f"line {lineno}: expected {len(variables)} fields")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise InputError(f"line {lineno}: {exc}") from None
-        if not rows:
-            raise InputError("data file contains no observations")
-        values = np.asarray(rows, dtype=float)
-        del rows  # free the parsed floats before the check allocates its mask
-        if not np.isfinite(values).all():
-            i, j = np.argwhere(~np.isfinite(values))[0]
-            lineno = i + 2
-            for blank in blank_lines:  # ascending; each one shifts later rows down
-                lineno += blank <= lineno
-            raise InputError(
-                f"line {lineno}: non-finite value {values[i, j]} in column {variables[j]!r}"
-            )
+        """Read a CSV file whose header row names the columns.
+
+        One ``np.loadtxt`` pass reads the body. Where that pass fails or may
+        not give the same answer (see :func:`_loadtxt`), the row loop
+        :func:`_read_rows` reads the body again: it accepts every cell
+        ``float`` accepts and names the line of the first bad one.
+        """
+        try:
+            with open(path, newline="") as fh:
+                # readline, unlike iteration, keeps fh.tell() usable
+                header = next(csv.reader(iter(fh.readline, "")), None)
+                if header is None:
+                    raise InputError("empty data file: a header row is required")
+                variables = tuple(h.strip() for h in header)
+                if len(set(variables)) != len(variables):
+                    duplicate = next(v for v in variables if variables.count(v) > 1)
+                    raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
+                body = fh.tell()
+                values = _loadtxt(fh, len(variables))
+                if values is None:
+                    fh.seek(body)
+                    values = _read_rows(fh, variables)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise file_error(path, exc) from None
         return cls(variables, values)
+
+
+def _loadtxt(fh, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` in one numpy pass as a finite array of ``width``
+    columns, or None where that pass may not give the row loop's answer."""
+    start = fh.tell()
+    blank = True
+    for chunk in iter(partial(fh.read, 1 << 16), ""):
+        # loadtxt strips the ASCII separators \x1c-\x1f around a number,
+        # which float rejects
+        if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+            return None
+        blank = blank and chunk.isspace()
+    if blank:  # loadtxt warns on a body without data
+        return None
+    fh.seek(start)
+    try:
+        values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_rows(fh, variables: tuple[str, ...]) -> np.ndarray:
+    """The rest of ``fh`` read row by row with ``csv`` and ``float``; raises
+    :class:`InputError` naming the line of the first bad row or cell."""
+    rows = []
+    blank_lines = []
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            blank_lines.append(lineno)
+            continue
+        if len(row) != len(variables):
+            raise InputError(f"line {lineno}: expected {len(variables)} fields")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise InputError("data file contains no observations")
+    values = np.asarray(rows, dtype=float)
+    del rows  # free the parsed floats before the check allocates its mask
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        lineno = i + 2
+        for blank in blank_lines:  # ascending; each one shifts later rows down
+            lineno += blank <= lineno
+        raise InputError(
+            f"line {lineno}: non-finite value {values[i, j]} in column {variables[j]!r}"
+        )
+    return values
 
 
 def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
@@ -259,37 +305,6 @@ def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
     columns = tuple(g.vertices)
     permutation = [order.index(v) for v in columns]
     return DataTable(columns, draws[:, permutation])
-
-
-@dataclass(frozen=True)
-class PartialCorrTest:
-    """A single vanishing-partial-correlation hypothesis."""
-
-    x: str
-    y: str
-    given: frozenset[str]
-    source_statement: int
-
-    def render(self) -> str:
-        if self.given:
-            return f"rho({self.x},{self.y} | {','.join(sorted(self.given))}) = 0"
-        return f"rho({self.x},{self.y}) = 0"
-
-
-def test_plan(basis: ReducedBasis | Iterable[CiStatement]) -> list[PartialCorrTest]:
-    """Expand statements into pairwise vanishing-partial-correlation tests,
-    deduplicated across statements."""
-    statements = basis.statements if isinstance(basis, ReducedBasis) else tuple(basis)
-    plan: list[PartialCorrTest] = []
-    seen: set[tuple] = set()
-    for i, st in enumerate(statements):
-        for x in sorted(st.x):
-            for y in sorted(st.y):
-                key = (min(x, y), max(x, y), st.z)
-                if key not in seen:
-                    seen.add(key)
-                    plan.append(PartialCorrTest(x, y, st.z, i))
-    return plan
 
 
 @dataclass(frozen=True)

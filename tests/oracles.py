@@ -6,20 +6,24 @@ vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
 collapsed ordering re-sorts the edges and searches every pair, the
 reduced-form statements walk the edge sets breadth first, the maximal
 ancestral sets scan every subset of the ordering prefix, statements are keyed
-by sorted name tuples, and the axiom closure applies one rule family at a
-time to the whole set.
+by sorted name tuples, the axiom closure applies one rule family at a time
+to the whole set, and the CSV reader converts every cell with ``float``.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import deque
 from itertools import chain, combinations
+
+import numpy as np
 
 from admgci import (
     ORDERED_LOCAL,
     REDUCED_FORM,
     Admg,
     CiStatement,
+    InputError,
     markov_blanket,
     maximal_ancestral_sets,
     reduced_form_applies,
@@ -376,3 +380,36 @@ def closure_round_robin(seed, composition: bool) -> set[CiStatement]:
 def all_subsets(items):
     items = sorted(items)
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def csv_by_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header names and values of a CSV data file, one ``float`` per cell,
+    with the errors ``DataTable.from_csv`` raises."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError("empty data file: a header row is required") from None
+        variables = tuple(h.strip() for h in header)
+        if len(set(variables)) != len(variables):
+            duplicate = next(v for v in variables if variables.count(v) > 1)
+            raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
+        rows, lines = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(variables):
+                raise InputError(f"line {lineno}: expected {len(variables)} fields")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: {exc}") from None
+            lines.append(lineno)
+    if not rows:
+        raise InputError("data file contains no observations")
+    for lineno, row in zip(lines, rows):
+        for name, value in zip(variables, row):
+            if not np.isfinite(value):
+                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
+    return variables, np.array(rows, dtype=float)

@@ -135,6 +135,33 @@ class TestExitCodes:
         assert main(["analyze", "figure2", "--bogus"]) == 2
         assert main(["verify", "figure2", "--mode", "ordered-vs-reduced"]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "sem-tests"])
+    def test_negative_cap_exits_2_before_any_work(self, capsys, command):
+        assert main([command, "figure1", "--cap", "-1"]) == 2
+        assert "--cap: must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["components", "{tmp}"],
+            ["components", "{tmp}/binary"],
+            ["sem-check", "figure1", "{tmp}/missing.csv"],
+            ["sem-check", "figure1", "{tmp}"],
+            ["simulate", "figure1", "--out", "{tmp}/missing/x.csv"],
+        ],
+    )
+    def test_file_errors_exit_2_naming_the_path(self, tmp_path, argv):
+        (tmp_path / "binary").write_bytes(bytes(range(128, 256)))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        # UTF-8 mode, so the binary file fails to decode under any locale
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8", "-m", "admgci", *argv],
+            capture_output=True, text=True, env=process_env(), timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot ") and repr(argv[-1]) in proc.stderr
+
     @pytest.mark.parametrize(
         "command",
         ["components", "msep", "order", "analyze", "verify", "sem-tests", "simulate", "sem-check"],
@@ -188,6 +215,45 @@ class TestExitCodes:
             capsys, "analyze", "figure2", "--mode", "ordered", "--order", "a,b,c,d,e"
         )
         assert code == 2 and "consistent" in err
+
+
+GRAPH_ONLY = [
+    ["components", "figure1"],
+    ["msep", "figure2", "--x", "a", "--y", "e", "--given", "d"],
+    ["order", "figure1"],
+    ["analyze", "figure3"],
+    ["verify", "figure2"],
+    ["sem-tests", "figure2"],
+]
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import admgci
+from admgci.cli import main
+report = {"after_import": "numpy" in sys.modules, "after_commands": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report["after_commands"].append([code, "numpy" in sys.modules])
+report["sem_names"] = [admgci.DataTable.__name__, admgci.run_tests.__name__]
+report["after_sem_names"] = "numpy" in sys.modules
+report["unresolved"] = [n for n in admgci.__all__ if not hasattr(admgci, n)]
+report["all"] = admgci.__all__
+print(json.dumps(report))
+"""
+
+
+def test_graph_only_subcommands_never_import_numpy():
+    proc = run_process("-c", NUMPY_PROBE, json.dumps(GRAPH_ONLY))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["after_import"] is False
+    assert report["after_commands"] == [[0, False]] * len(GRAPH_ONLY)
+    # the SEM names still resolve, and load numpy on first use
+    assert report["sem_names"] == ["DataTable", "run_tests"]
+    assert report["after_sem_names"] is True
+    assert report["unresolved"] == []
+    assert len(report["all"]) == 50 and {"DataTable", "run_tests", "test_plan"} <= set(report["all"])
 
 
 class TestJson:
