@@ -164,9 +164,6 @@ class Admg:
     def bidirected_edges(self) -> frozenset[frozenset[str]]:
         return self._bidirected
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self._vset
-
     def _check_vertex(self, name: str) -> str:
         if name not in self._vset:
             raise InputError(f"unknown vertex {name!r}")
@@ -182,29 +179,21 @@ class Admg:
 
     # --- structural relations -----------------------------------------------
 
+    def _union(self, s: Collection[str], part) -> frozenset[str]:
+        """Union of ``part(v)`` over the members ``v`` of the checked set ``s``."""
+        return frozenset().union(*map(part, self._check_set(s)))
+
     def parents(self, s: Collection[str]) -> frozenset[str]:
         """Union of tails of directed edges into members of ``s``."""
-        s = self._check_set(s)
-        out: set[str] = set()
-        for v in s:
-            out.update(self._parents[v])
-        return frozenset(out)
+        return self._union(s, self._parents.__getitem__)
 
     def children(self, s: Collection[str]) -> frozenset[str]:
         """Union of heads of directed edges out of members of ``s``."""
-        s = self._check_set(s)
-        out: set[str] = set()
-        for v in s:
-            out.update(self._children[v])
-        return frozenset(out)
+        return self._union(s, self._children.__getitem__)
 
     def spouses(self, s: Collection[str]) -> frozenset[str]:
         """Union of bi-directed neighbours of members of ``s``."""
-        s = self._check_set(s)
-        out: set[str] = set()
-        for v in s:
-            out.update(self._spouses[v])
-        return frozenset(out)
+        return self._union(s, self._spouses.__getitem__)
 
     def _closure_of(self, v: str, step: dict[str, frozenset[str]], cache: dict) -> frozenset[str]:
         hit = cache.get(v)
@@ -224,19 +213,11 @@ class Admg:
 
     def ancestors(self, s: Collection[str]) -> frozenset[str]:
         """Reflexive-transitive closure of the parent relation; ``s`` is included."""
-        s = self._check_set(s)
-        out: set[str] = set()
-        for v in s:
-            out |= self._closure_of(v, self._parents, self._an_cache)
-        return frozenset(out)
+        return self._union(s, lambda v: self._closure_of(v, self._parents, self._an_cache))
 
     def descendants(self, s: Collection[str]) -> frozenset[str]:
         """Reflexive-transitive closure of the child relation; ``s`` is included."""
-        s = self._check_set(s)
-        out: set[str] = set()
-        for v in s:
-            out |= self._closure_of(v, self._children, self._de_cache)
-        return frozenset(out)
+        return self._union(s, lambda v: self._closure_of(v, self._children, self._de_cache))
 
     def district(self, x: str) -> frozenset[str]:
         """The c-component of ``x``: its connected component via bi-directed edges."""

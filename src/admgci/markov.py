@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .admg import MIXED_PATH_BUDGET, Admg, validate_ordering
 from .admg import _lex_topological, _mixed_path_search, _strong_components
@@ -64,13 +64,10 @@ def _district_in(g: Admg, x: str, members: frozenset[str]) -> frozenset[str]:
     return frozenset(comp)
 
 
-def _blanket_in(g: Admg, x: str, members: frozenset[str]) -> frozenset[str]:
-    """Markov blanket of ``x`` w.r.t. the subgraph on ``members``, unvalidated."""
-    dis = _district_in(g, x, members)
-    pa: set[str] = set()
-    for v in dis:
-        pa.update(g._parents[v])
-    return frozenset((pa & members) | dis - {x})
+def _blanket(g: Admg, x: str, d: frozenset[str]) -> frozenset[str]:
+    """Markov blanket of ``x`` in an ancestral set whose district of ``x`` is
+    ``d``: the set holds pa(d), so the blanket is pa(d) | d - {x}."""
+    return frozenset(chain(d, *(g._parents[v] for v in d))) - {x}
 
 
 def markov_blanket(g: Admg, x: str, a: Collection[str]) -> frozenset[str]:
@@ -87,7 +84,7 @@ def markov_blanket(g: Admg, x: str, a: Collection[str]) -> frozenset[str]:
         raise InputError("markov_blanket requires an ancestral vertex set")
     if not a.isdisjoint(g._children[x]):
         raise InputError(f"{x} has children inside the given ancestral set")
-    return _blanket_in(g, x, a)
+    return _blanket(g, x, _district_in(g, x, a))
 
 
 def maximal_ancestral_sets(
@@ -108,13 +105,14 @@ def maximal_ancestral_sets(
     """
     order = validate_ordering(g, ordering)
     g._check_vertex(x)
-    return _maximal_ancestral_sets(g, x, order[: order.index(x) + 1], cap)
+    return [a for a, _ in _maximal_ancestral_sets(g, x, order[: order.index(x) + 1], cap)]
 
 
 def _maximal_ancestral_sets(
     g: Admg, x: str, pre: tuple[str, ...], cap: int
-) -> list[frozenset[str]]:
-    """:func:`maximal_ancestral_sets` for the validated prefix ``pre`` ending in ``x``."""
+) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """:func:`maximal_ancestral_sets` for the validated prefix ``pre`` ending in
+    ``x``, each set paired with its D; the first D is x's district in ``pre``."""
     prefix = frozenset(pre)
     district = _district_in(g, x, prefix)
     if len(district) - 1 > cap:
@@ -125,7 +123,7 @@ def _maximal_ancestral_sets(
         )
     # each step takes or excludes the least frontier vertex; at a leaf the
     # excluded vertices are exactly the spouses of ``chosen`` in the prefix
-    result: list[frozenset[str]] = []
+    result: list[tuple[frozenset[str], frozenset[str]]] = []
     stack = [(frozenset({x}), district.intersection(g._spouses[x]), frozenset())]
     while stack:
         chosen, frontier, excluded = stack.pop()
@@ -138,8 +136,8 @@ def _maximal_ancestral_sets(
             continue
         blocked = frozenset().union(*(g._closure_of(b, g._children, g._de_cache) for b in excluded))
         if chosen.isdisjoint(blocked):
-            result.append(prefix - blocked)
-    result.sort(key=lambda s: (-len(s), tuple(sorted(s))))
+            result.append((prefix - blocked, chosen))
+    result.sort(key=lambda pair: (-len(pair[0]), tuple(sorted(pair[0]))))
     return result
 
 
@@ -155,12 +153,20 @@ def ordered_local_entries(
     order = validate_ordering(g, ordering)
     entries: list[tuple[str, frozenset[str], CiStatement | None]] = []
     for i, x in enumerate(order):
-        for a in _maximal_ancestral_sets(g, x, order[: i + 1], cap):
-            mb = _blanket_in(g, x, a)
-            indep = a - mb - {x}
-            stmt = CiStatement([x], mb, indep) if indep else None
-            entries.append((x, a, stmt))
+        entries.extend((x, a, stmt) for a, _, stmt in _ordered_local(g, x, order[: i + 1], cap))
     return entries
+
+
+def _ordered_local(
+    g: Admg, x: str, pre: tuple[str, ...], cap: int
+) -> Iterator[tuple[frozenset[str], frozenset[str], CiStatement | None]]:
+    """Each maximal ancestral set A of ``x`` in the validated prefix ``pre``,
+    with its D = dis_A(x) and its statement I(x ; A - mb - {x} | mb), or
+    ``None`` when that is vacuous; the blanket mb comes from D."""
+    for a, d in _maximal_ancestral_sets(g, x, pre, cap):
+        mb = _blanket(g, x, d)
+        indep = a - mb - {x}
+        yield a, d, (CiStatement([x], mb, indep) if indep else None)
 
 
 def ordered_local_markov(
@@ -368,22 +374,15 @@ def redundant_ancestral_set(
         raise InputError("the candidate set must contain the vertex and lie in its prefix")
     if not g.is_ancestral(a_prime):
         raise InputError("the candidate set must be ancestral")
-    return _redundant_ancestral_set(g, x, pre, a_prime)
+    d = _district_in(g, x, a_prime)
+    return _prunable(g, _district_in(g, x, pre), a_prime, d, _blanket(g, x, d))
 
 
-def _redundant_ancestral_set(
-    g: Admg, x: str, pre: frozenset[str], a_prime: frozenset[str]
-) -> bool:
-    """:func:`redundant_ancestral_set` for a checked ancestral ``a_prime``
-    inside the prefix ``pre`` of ``x``."""
-    dis_pre = _district_in(g, x, pre)
-    dis_prime = _district_in(g, x, a_prime)
-    dropped = dis_pre - dis_prime
-    outside = dis_pre - a_prime
-    straddling = dropped - outside  # in a_prime but cut off from x's district
-    if straddling:
-        return False
-    return g.parents(dropped) <= _blanket_in(g, x, a_prime)
+def _prunable(g: Admg, dis_pre: frozenset, a: frozenset, d: frozenset, mb: frozenset) -> bool:
+    """:func:`redundant_ancestral_set` given x's district ``dis_pre`` in its
+    prefix, and ``d`` and ``mb``, x's district and blanket in ``a``."""
+    dropped = dis_pre - d  # the members of x's prefix district that ``a`` cuts off
+    return dropped.isdisjoint(a) and mb.issuperset(chain(*(g._parents[v] for v in dropped)))
 
 
 # --- the basis-producing procedure ---------------------------------------------
@@ -429,27 +428,20 @@ def reduced_basis(
                 emit(stmt, REDUCED_FORM)
             continue
 
-        sets = _maximal_ancestral_sets(g, x, order[: i + 1], cap)
-        pre = frozenset(order[: i + 1])
-        if not sets or sets[0] != pre:
+        entries = list(_ordered_local(g, x, order[: i + 1], cap))
+        # every set lies in the prefix, so only the prefix itself has i + 1 members
+        if not entries or len(entries[0][0]) != i + 1:
             raise InternalError("the full prefix must be the largest maximal ancestral set")
-        top_index: int | None = None
-        mb = _blanket_in(g, x, pre)
-        indep = pre - mb - {x}
-        if indep:
-            top_index = emit(CiStatement([x], mb, indep), ORDERED_LOCAL)
-        for a in sets[1:]:
-            mb = _blanket_in(g, x, a)
-            indep = a - mb - {x}
-            stmt = CiStatement([x], mb, indep) if indep else None
-            if _redundant_ancestral_set(g, x, pre, a):
-                if stmt is not None:
-                    if top_index is None:
-                        raise InternalError(
-                            "pruned a non-vacuous statement via a vacuous one"
-                        )
-                    pruned.append(PrunedStatement(stmt, top_index))
-            elif stmt is not None:
+        _, dis_pre, top = entries[0]
+        top_index = None if top is None else emit(top, ORDERED_LOCAL)
+        for a, d, stmt in entries[1:]:
+            if stmt is None:
+                continue  # vacuous: nothing to emit or prune
+            if _prunable(g, dis_pre, a, d, stmt.z):
+                if top_index is None:
+                    raise InternalError("pruned a non-vacuous statement via a vacuous one")
+                pruned.append(PrunedStatement(stmt, top_index))
+            else:
                 emit(stmt, ORDERED_LOCAL)
 
     return ReducedBasis(order, tuple(statements), tuple(provenance), tuple(pruned))

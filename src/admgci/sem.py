@@ -102,8 +102,7 @@ def partial_correlation(
         raise NumericError(
             "restricted covariance is not positive definite; cannot form the precision"
         ) from None
-    precision = np.linalg.inv(sub)
-    return float(-precision[0, 1] / math.sqrt(precision[0, 0] * precision[1, 1]))
+    return _partial_correlation_of(sub)
 
 
 def random_parameters(
@@ -221,8 +220,10 @@ class DataTable:
         """
         try:
             with open(path, newline="") as fh:
-                # readline, unlike iteration, keeps fh.tell() usable
-                header = next(csv.reader(iter(fh.readline, "")), None)
+                # readline, unlike iteration, keeps fh.tell() usable; the row
+                # loop reads the body with the same reader, so line_num counts on
+                reader = csv.reader(iter(fh.readline, ""))
+                header = next(reader, None)
                 if header is None:
                     raise InputError("empty data file: a header row is required")
                 variables = tuple(h.strip() for h in header)
@@ -233,9 +234,11 @@ class DataTable:
                 values = _loadtxt(fh, len(variables))
                 if values is None:
                     fh.seek(body)
-                    values = _read_rows(fh, variables)
+                    values = _read_rows(reader, variables)
         except (OSError, UnicodeDecodeError) as exc:
             raise file_error(path, exc) from None
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise InputError(f"line {reader.line_num}: {exc}") from None
         return cls(variables, values)
 
 
@@ -262,12 +265,13 @@ def _loadtxt(fh, width: int) -> np.ndarray | None:
     return values
 
 
-def _read_rows(fh, variables: tuple[str, ...]) -> np.ndarray:
-    """The rest of ``fh`` read row by row with ``csv`` and ``float``; raises
-    :class:`InputError` naming the line of the first bad row or cell."""
+def _read_rows(reader, variables: tuple[str, ...]) -> np.ndarray:
+    """The body rows left in the ``csv`` ``reader``, each cell read with
+    ``float``; raises :class:`InputError` naming the line of the first bad row
+    or cell."""
     rows = []
     blank_lines = []
-    for lineno, row in enumerate(csv.reader(fh), start=2):
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             blank_lines.append(lineno)
             continue
@@ -353,8 +357,8 @@ def sample_partial_correlation(
 
 
 def _partial_correlation_of(cov: np.ndarray) -> float:
-    """Partial correlation of the first two variables of a sample covariance
-    given the rest; errors as in :func:`sample_partial_correlation`."""
+    """Partial correlation of the first two variables of a covariance given
+    the rest, from its precision; errors as in :func:`sample_partial_correlation`."""
     try:
         precision = np.linalg.inv(cov)
     except np.linalg.LinAlgError:

@@ -52,9 +52,6 @@ class CiStatement:
     def flipped(self) -> "CiStatement":
         return CiStatement(self.y, self.z, self.x)
 
-    def vertices(self) -> frozenset[str]:
-        return self.x | self.z | self.y
-
     def render(self) -> str:
         """Text form, members in lexicographic order: ``I({a} ; {d} ; {e})``."""
         part = lambda s: "{" + ",".join(sorted(s)) + "}"

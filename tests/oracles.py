@@ -5,7 +5,8 @@ through moralization, the topological order scans for the least ready
 vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
 collapsed ordering re-sorts the edges and searches every pair, the
 reduced-form statements walk the edge sets breadth first, the maximal
-ancestral sets scan every subset of the ordering prefix, statements are keyed
+ancestral sets scan every subset of the ordering prefix, Markov blankets and
+the pruning rule are read off induced subgraphs, statements are keyed
 by sorted name tuples, the axiom closure applies one rule family at a time
 to the whole set, and the CSV reader converts every cell with ``float``.
 """
@@ -24,11 +25,9 @@ from admgci import (
     Admg,
     CiStatement,
     InputError,
-    markov_blanket,
     maximal_ancestral_sets,
     reduced_form_applies,
     reduced_scope,
-    redundant_ancestral_set,
 )
 
 
@@ -229,7 +228,7 @@ def maximal_ancestral_sets_by_scan(g: Admg, x: str, ordering) -> list[frozenset[
         if any(mask & bit[v] and an_mask[v] & ~mask for v in pre):
             continue  # not ancestral
         members = frozenset(v for v in pre if mask & bit[v])
-        buckets.setdefault(markov_blanket(g, x, members), []).append(mask)
+        buckets.setdefault(blanket_by_definition(g, x, members), []).append(mask)
     result = [
         frozenset(v for v in pre if m & bit[v])
         for masks in buckets.values()
@@ -240,12 +239,33 @@ def maximal_ancestral_sets_by_scan(g: Admg, x: str, ordering) -> list[frozenset[
     return result
 
 
+def blanket_by_definition(g: Admg, x: str, a) -> frozenset[str]:
+    """The Markov blanket of ``x`` in the subgraph on ``a``, read off that
+    subgraph: x's district there and the parents of that district there,
+    without ``x``."""
+    sub = g.induced_subgraph(a)
+    district = sub.district(x)
+    return (district | sub.parents(district)) - {x}
+
+
+def redundant_by_definition(g: Admg, x: str, ordering, a) -> bool:
+    """The pruning rule read off induced subgraphs: the members of x's
+    district in the subgraph on its prefix that x's district in the subgraph
+    on ``a`` lacks must all lie outside ``a``, and their parents must lie in
+    x's blanket in ``a``."""
+    order = list(ordering)
+    pre = order[: order.index(x) + 1]
+    dropped = g.induced_subgraph(pre).district(x) - g.induced_subgraph(a).district(x)
+    return dropped.isdisjoint(a) and g.parents(dropped) <= blanket_by_definition(g, x, a)
+
+
 def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[str], list]:
-    """The basis procedure through the public, self-validating entry points,
-    one vertex at a time: the reduced-form statement where
-    ``reduced_form_applies``, else every ordered-local statement not certified
-    by ``redundant_ancestral_set``. Returns statements, provenance tags and
-    (pruned statement, index of the implying statement) pairs."""
+    """The basis procedure one vertex at a time, through the public,
+    self-validating entry points and the definitions above: the reduced-form
+    statement where ``reduced_form_applies``, else every ordered-local
+    statement whose set :func:`redundant_by_definition` does not prune.
+    Returns statements, provenance tags and (pruned statement, index of the
+    implying statement) pairs."""
     order = list(ordering)
     statements: list[CiStatement] = []
     provenance: list[str] = []
@@ -265,12 +285,12 @@ def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[
             continue
         top = None
         for i, a in enumerate(maximal_ancestral_sets(g, x, order)):
-            mb = markov_blanket(g, x, a)
+            mb = blanket_by_definition(g, x, a)
             indep = a - mb - {x}
             stmt = CiStatement([x], mb, indep) if indep else None
             if i == 0:
                 top = emit(stmt, ORDERED_LOCAL) if stmt else None
-            elif redundant_ancestral_set(g, x, order, a):
+            elif redundant_by_definition(g, x, order, a):
                 if stmt:
                     pruned.append((stmt, top))
             elif stmt:
@@ -388,24 +408,9 @@ def csv_by_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("empty data file: a header row is required") from None
-        variables = tuple(h.strip() for h in header)
-        if len(set(variables)) != len(variables):
-            duplicate = next(v for v in variables if variables.count(v) > 1)
-            raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
-        rows, lines = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(variables):
-                raise InputError(f"line {lineno}: expected {len(variables)} fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-            lines.append(lineno)
+            variables, rows, lines = _float_rows(reader)
+        except csv.Error as exc:
+            raise InputError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError("data file contains no observations")
     for lineno, row in zip(lines, rows):
@@ -413,3 +418,27 @@ def csv_by_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
             if not np.isfinite(value):
                 raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
     return variables, np.array(rows, dtype=float)
+
+
+def _float_rows(reader):
+    """Header names, the non-blank rows as floats and their line numbers."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("empty data file: a header row is required") from None
+    variables = tuple(h.strip() for h in header)
+    if len(set(variables)) != len(variables):
+        duplicate = next(v for v in variables if variables.count(v) > 1)
+        raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
+    rows, lines = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(variables):
+            raise InputError(f"line {lineno}: expected {len(variables)} fields")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+        lines.append(lineno)
+    return variables, rows, lines

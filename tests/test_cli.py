@@ -162,6 +162,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot ") and repr(argv[-1]) in proc.stderr
 
+    @pytest.mark.parametrize("at_line", [1, 3], ids=["header", "body"])
+    def test_oversized_csv_field_exits_2(self, tmp_path, at_line):
+        big = '"' + "x" * 200_000 + '"'
+        rows = ["a,b", "1.0,2.0", "3.0,4.0"]
+        rows[at_line - 1] = big + ",5.0"
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows) + "\n")
+        proc = run_process("-m", "admgci", "sem-check", "figure1", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"line {at_line}: field larger than field limit" in proc.stderr
+
     @pytest.mark.parametrize(
         "command",
         ["components", "msep", "order", "analyze", "verify", "sem-tests", "simulate", "sem-check"],

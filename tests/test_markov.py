@@ -25,7 +25,12 @@ from admgci import (
 )
 from admgci.markov import ORDERED_LOCAL, REDUCED_FORM, _district_in
 from conftest import random_admg, random_bidirected_graph, random_cycle_free_admg, random_dag
-from oracles import maximal_ancestral_sets_by_scan
+from oracles import (
+    all_subsets,
+    blanket_by_definition,
+    maximal_ancestral_sets_by_scan,
+    redundant_by_definition,
+)
 
 
 def _random_consistent_order(rng: np.random.Generator, g: Admg) -> list[str]:
@@ -60,6 +65,24 @@ class TestMarkovBlanket:
             markov_blanket(figure2, "a", ["d", "e"])
         with pytest.raises(InputError, match="children"):
             markov_blanket(figure2, "d", ["a", "d", "e"])
+
+    def test_matches_the_definition_on_random_graphs(self):
+        # every ancestral set and every member without children in it
+        rng = np.random.default_rng(44)
+        checked = 0
+        for _ in range(300):
+            g = random_admg(rng, int(rng.integers(2, 9)))
+            for subset in all_subsets(g.vertices):
+                a = frozenset(subset)
+                if not g.is_ancestral(a):
+                    continue
+                for x in sorted(a):
+                    if a.isdisjoint(g.children([x])):
+                        assert markov_blanket(g, x, a) == blanket_by_definition(g, x, a), (
+                            repr(g), x, sorted(a)
+                        )
+                        checked += 1
+        assert checked > 5000, checked
 
 
 class TestMaximalAncestralSets:
@@ -332,6 +355,24 @@ class TestPruningConditions:
         order = expected.FIGURE3_ORDERING
         pre = frozenset(order)
         assert redundant_ancestral_set(figure3, "c", order, pre)
+
+    def test_matches_the_definition_on_random_graphs(self):
+        # every ancestral set inside each vertex's prefix that holds the vertex
+        rng = np.random.default_rng(45)
+        answers = {True: 0, False: 0}
+        for _ in range(150):
+            g = random_admg(rng, int(rng.integers(2, 8)))
+            order = _random_consistent_order(rng, g)
+            for i, x in enumerate(order):
+                for subset in all_subsets(order[:i]):
+                    a = frozenset(subset) | {x}
+                    if g.is_ancestral(a):
+                        got = redundant_ancestral_set(g, x, order, a)
+                        assert got == redundant_by_definition(g, x, order, a), (
+                            repr(g), order, x, sorted(a)
+                        )
+                        answers[got] += 1
+        assert min(answers.values()) > 200, answers
 
     def test_redundant_set_validation(self, figure3):
         order = expected.FIGURE3_ORDERING

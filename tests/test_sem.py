@@ -60,6 +60,34 @@ class TestParameters:
         assert all(v != 0 for v in p.error_covariances.values())
         assert all(abs(c) >= 0.3 for c in p.coefficients.values())
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Admg("abcd", bidirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+            Admg("abcde", bidirected=[("a", v) for v in "bcde"]),
+        ],
+        ids=["bidirected-4-cycle", "bidirected-star"],
+    )
+    def test_halved_blocks_keep_the_support(self, g, monkeypatch):
+        # a random block zeroed off these supports is often not positive
+        # definite, so its off-diagonal entries get halved until it is
+        eigvalsh = np.linalg.eigvalsh
+        singular = []
+
+        def spy(m):
+            w = eigvalsh(m)
+            singular.append(w.min() <= 1e-10)
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for seed in range(40):
+            p = random_parameters(g, seed)
+            assert set(p.error_covariances) == set(g.bidirected_edges)
+            assert all(v != 0 for v in p.error_covariances.values())
+            sigma = implied_covariance(g, p, g.topological_ordering())
+            assert eigvalsh(sigma.matrix).min() > 0
+        assert any(singular)  # some seed reached the halving loop
+
     def test_error_covariance_positive_definite(self, figure2):
         for seed in range(20):
             p = random_parameters(figure2, seed)
@@ -192,6 +220,20 @@ class TestSimulate:
             DataTable.from_csv(path)
         path.write_text("x,y\n1.0,oops\n")
         with pytest.raises(InputError, match="line 2"):
+            DataTable.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('"' + "x" * 200_000 + '",b\n1.0,2.0\n', 1),
+            ('a,b\n1.0,2.0\n"' + "x" * 200_000 + '",3.0\n', 3),
+        ],
+        ids=["header", "body"],
+    )
+    def test_csv_field_over_the_size_limit(self, tmp_path, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^line {line}: field larger than field limit"):
             DataTable.from_csv(path)
 
     def test_csv_rejects_duplicate_columns(self, tmp_path):
