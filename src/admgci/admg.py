@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable
 
@@ -107,7 +108,11 @@ class Admg:
 
         order = _lex_topological(names, pa, ch)
         if len(order) != len(names):
-            cyclic = sorted(vset.difference(order))
+            # the sort leaves out every vertex on or after a cycle, children
+            # included; those on a cycle share a strong component with another
+            scc = _strong_components(sorted(vset.difference(order)), ch.__getitem__)
+            roots = Counter(scc.values())
+            cyclic = sorted(v for v, r in scc.items() if roots[r] > 1)
             raise InputError(f"directed part has a cycle through {{{','.join(cyclic)}}}")
         self._order = tuple(order)
 

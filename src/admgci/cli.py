@@ -154,15 +154,11 @@ def _cmd_verify(args) -> int:
     universe_cap = args.cap if args.cap is not None else implication.UNIVERSE_CAP
     universe = implication.StatementUniverse(g.vertices, cap=universe_cap)
     in_basis = set(basis.statements)
-    checked = []
-    all_derivable = True
-    for st in ordered:
-        if st in in_basis:
-            checked.append((st, True, True))
-            continue
-        ok = implication.implies(universe, basis.statements, st, axioms)
-        all_derivable &= ok
-        checked.append((st, False, ok))
+    targets = [st for st in ordered if st not in in_basis]
+    answers = implication.implies_each(universe, basis.statements, targets, axioms)
+    found = dict(zip(targets, answers))
+    checked = [(st, st in in_basis, found.get(st, True)) for st in ordered]
+    all_derivable = all(ok for _, _, ok in checked)
     if args.format == "json":
         _print_json(
             {

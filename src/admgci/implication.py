@@ -1,12 +1,16 @@
 """Desk-scale conditional-independence implication by axiom closure.
 
-Statements over a small ground set are encoded as base-4 words (one digit
-per vertex: absent / x-side / conditioning / y-side), with the symmetry
-representative being the numerically smaller of a word and its side-swap.
-Closure runs a worklist fixpoint applying the four semi-graphoid rules
-(symmetry, decomposition, weak union, contraction) and, optionally, the
-composition rule. Membership in the closure decides implication; this is
-derivability under the stated axioms, not general probabilistic implication.
+A statement over n vertices is three bitmasks (x, z, y), keyed by the integer
+``min(x, y) << 2n | max(x, y) << n | z`` so that a statement and its x/y swap
+share one key (symmetry). Closure is a worklist fixpoint. Decomposition and
+weak union move one member b of y at a time, to (x, z, y∖b) and (x, z∪b, y∖b);
+any general step is a chain of these. Contraction scans the statements whose
+sides match. Composition, when enabled, adds (x, z, U) for the union U of
+every y seen with (x, z): a chain of composition steps, and complete, since
+decomposition of U then yields y1 ∪ y2 for any two such y. Membership in the
+closure decides implication; this is derivability under the stated axioms,
+not general probabilistic implication. ``implies`` stops as soon as one
+statement found yields the target by symmetry, decomposition and weak union.
 """
 
 from __future__ import annotations
@@ -44,19 +48,10 @@ class StatementUniverse:
                 f"universe cap of {cap}"
             )
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        # spread[m] places each set bit i of m at base-4 digit i
-        spread = [0] * (1 << n)
-        for i in range(n):
-            bit = 1 << i
-            val = 1 << (2 * i)
-            for m in range(bit):
-                spread[bit | m] = val + spread[m]
-        self._spread = spread
 
     @property
     def slots(self) -> int:
-        """Number of base-4 words over the ground set."""
+        """Number of role assignments (absent, x, z, y) over the ground set, 4^n."""
         return 4 ** len(self.vertices)
 
     def _mask(self, names: frozenset[str]) -> int:
@@ -77,29 +72,42 @@ class StatementUniverse:
         return CiStatement(names(x), names(z), names(y))
 
     def word(self, x: int, z: int, y: int) -> int:
-        """Symmetry-canonical slot: min of the word and its x/y swap."""
-        s = self._spread
-        w1 = s[x] + 2 * s[z] + 3 * s[y]
-        w2 = s[y] + 2 * s[z] + 3 * s[x]
-        return w1 if w1 <= w2 else w2
+        """Symmetry-canonical key: ``min(x, y) << 2n | max(x, y) << n | z``."""
+        n = len(self.vertices)
+        return ((x << n | y) if x < y else (y << n | x)) << n | z
+
+
+def _entails(sx: int, sz: int, sy: int, tx: int, tz: int, ty: int) -> bool:
+    """Whether (tx, tz, ty) follows from (sx, sz, sy) by symmetry,
+    decomposition and weak union alone: each side within one side, and the
+    conditioning set between sz and sz ∪ sx ∪ sy."""
+    span = sx | sz | sy
+    return (
+        (tx | sx == sx and ty | sy == sy or tx | sy == sy and ty | sx == sx)
+        and sz | tz == tz
+        and tz | span == span
+    )
 
 
 def _saturate(
     universe: StatementUniverse,
     seed: Iterable[CiStatement],
     axioms: AxiomSet,
-    stop_word: int | None = None,
-) -> tuple[list[tuple[int, int, int]], bool]:
-    """Least fixpoint of the enabled rules; optionally stop once a target
-    word appears. Returns the canonical triples and whether the target hit."""
+    targets: Iterable[tuple[int, int, int]] = (),
+) -> tuple[list[tuple[int, int, int]], set[tuple[int, int, int]]]:
+    """Least fixpoint of the enabled rules, or as much of it as entails every
+    target. Returns the canonical triples and the targets not entailed."""
     word = universe.word
+    wanted = set(targets)
     seen: set[int] = set()
     triples: list[tuple[int, int, int]] = []
     queue: deque[tuple[int, int, int]] = deque()
     by_xz: dict[tuple[int, int], list[int]] = defaultdict(list)
     by_xu: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    union: dict[tuple[int, int], int] = {}
 
     def push(x: int, z: int, y: int) -> bool:
+        """Add a triple; True once the last target is entailed."""
         w = word(x, z, y)
         if w in seen:
             return False
@@ -109,38 +117,44 @@ def _saturate(
         for a, b in ((x, y), (y, x)):
             by_xz[(a, z)].append(b)
             by_xu[(a, z | b)].append((z, b))
-        return w == stop_word
+        if wanted:
+            wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
+            return not wanted
+        return False
 
     for st in seed:
         if push(*universe.encode(st)):
-            return triples, True
+            return triples, wanted
 
     while queue:
         x0, z0, y0 = queue.popleft()
         for x, y in ((x0, y0), (y0, x0)):
             z = z0
-            # decomposition and weak union over every proper non-empty split of y
-            sub = (y - 1) & y
-            while sub:
-                if push(x, z, sub):
-                    return triples, True
-                if push(x, z | (y ^ sub), sub):
-                    return triples, True
-                sub = (sub - 1) & y
+            # decomposition and weak union, one member of y at a time
+            if y & (y - 1):
+                rest = y
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    if push(x, z, y ^ b) or push(x, z | b, y ^ b):
+                        return triples, wanted
             # contraction, this statement as the first premise
             for w2 in tuple(by_xz.get((x, z | y), ())):
                 if push(x, z, y | w2):
-                    return triples, True
+                    return triples, wanted
             # contraction, this statement as the second premise
             for z1, y1 in tuple(by_xu.get((x, z), ())):
                 if push(x, z1, y1 | y):
-                    return triples, True
+                    return triples, wanted
+            # composition against the union of every y seen with (x, z)
             if axioms.composition:
-                for w2 in tuple(by_xz.get((x, z), ())):
-                    merged = y | w2
-                    if merged != y and push(x, z, merged):
-                        return triples, True
-    return triples, False
+                u = union.get((x, z), 0)
+                if y & ~u:
+                    u |= y
+                    union[(x, z)] = u
+                    if u != y and push(x, z, u):
+                        return triples, wanted
+    return triples, wanted
 
 
 def closure(
@@ -148,7 +162,9 @@ def closure(
 ) -> set[CiStatement]:
     """All statements derivable from ``seed`` under the enabled axioms."""
     triples, _ = _saturate(universe, seed, axioms)
-    return {universe.decode(t) for t in triples}
+    masks = {m for t in triples for m in t}
+    names = {m: frozenset(v for i, v in enumerate(universe.vertices) if m >> i & 1) for m in masks}
+    return {CiStatement(names[x], names[z], names[y]) for x, z, y in triples}
 
 
 def implies(
@@ -157,7 +173,21 @@ def implies(
     target: CiStatement,
     axioms: AxiomSet = SEMI_GRAPHOID,
 ) -> bool:
-    """Membership of ``target`` in the closure, with early exit on discovery."""
-    stop = universe.word(*universe.encode(target))
-    _, hit = _saturate(universe, seed, axioms, stop_word=stop)
-    return hit
+    """Membership of ``target`` in the closure, with early exit once a
+    statement found entails it."""
+    return implies_each(universe, seed, [target], axioms)[0]
+
+
+def implies_each(
+    universe: StatementUniverse,
+    seed: Iterable[CiStatement],
+    targets: Iterable[CiStatement],
+    axioms: AxiomSet = SEMI_GRAPHOID,
+) -> list[bool]:
+    """Membership of each target in the closure, from one saturation that
+    stops once every target follows from a statement found."""
+    encoded = [universe.encode(t) for t in targets]
+    if not encoded:
+        return []
+    _, missing = _saturate(universe, seed, axioms, encoded)
+    return [t not in missing for t in encoded]

@@ -249,15 +249,16 @@ def _loadtxt(fh, width: int) -> np.ndarray | None:
     blank = True
     for chunk in iter(partial(fh.read, 1 << 16), ""):
         # loadtxt strips the ASCII separators \x1c-\x1f around a number,
-        # which float rejects
-        if any(c in chunk for c in "\x1c\x1d\x1e\x1f"):
+        # which float rejects; a quoted cell goes to the row loop, whose csv
+        # reader alone applies the field size limit
+        if any(c in chunk for c in '"\x1c\x1d\x1e\x1f'):
             return None
         blank = blank and chunk.isspace()
     if blank:  # loadtxt warns on a body without data
         return None
     fh.seek(start)
     try:
-        values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if values.shape[1] != width or not np.isfinite(values).all():

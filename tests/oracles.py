@@ -366,21 +366,22 @@ def closure_round_robin(seed, composition: bool) -> set[CiStatement]:
                 for moved in _proper_nonempty_subsets(y):
                     yield CiStatement(x, z | moved, y - moved)
 
+    def oriented(stmts):
+        return [o for st in stmts for o in orientations(st)]
+
     def contraction(stmts):
-        for s1 in stmts:
-            for x1, z1, y1 in orientations(s1):
-                for s2 in stmts:
-                    for x2, z2, y2 in orientations(s2):
-                        if x1 == x2 and z2 == z1 | y1:
-                            yield CiStatement(x1, z1, y1 | y2)
+        pairs = oriented(stmts)
+        for x1, z1, y1 in pairs:
+            for x2, z2, y2 in pairs:
+                if x1 == x2 and z2 == z1 | y1:
+                    yield CiStatement(x1, z1, y1 | y2)
 
     def composition_rule(stmts):
-        for s1 in stmts:
-            for x1, z1, y1 in orientations(s1):
-                for s2 in stmts:
-                    for x2, z2, y2 in orientations(s2):
-                        if x1 == x2 and z1 == z2 and not y1 & y2:
-                            yield CiStatement(x1, z1, y1 | y2)
+        pairs = oriented(stmts)
+        for x1, z1, y1 in pairs:
+            for x2, z2, y2 in pairs:
+                if x1 == x2 and z1 == z2 and not y1 & y2:
+                    yield CiStatement(x1, z1, y1 | y2)
 
     families = [decomposition, weak_union, contraction]
     if composition:

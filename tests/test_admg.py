@@ -50,16 +50,49 @@ class TestConstruction:
             Admg(["x", "y"], directed=[("x", "y"), ("y", "x")])
 
     def test_directed_cycle_error_text(self):
-        # the message lists every vertex on or after a cycle, in name order
+        # the message lists the vertices on a cycle, in name order, and not
+        # the ones only downstream of it
         with pytest.raises(InputError) as info:
             Admg(
                 ["a", "w", "x", "y", "z"],
                 directed=[("a", "x"), ("x", "y"), ("y", "z"), ("z", "x"), ("z", "w")],
             )
-        assert str(info.value) == "directed part has a cycle through {w,x,y,z}"
+        assert str(info.value) == "directed part has a cycle through {x,y,z}"
+        with pytest.raises(InputError) as info:
+            Admg(
+                ["a", "b", "c", "d"],
+                directed=[("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")],
+            )
+        assert str(info.value) == "directed part has a cycle through {b,c}"
         with pytest.raises(InputError) as info:
             Admg(["x", "y"], directed=[("x", "y"), ("y", "x")])
         assert str(info.value) == "directed part has a cycle through {x,y}"
+
+    def test_directed_cycle_error_names_exactly_the_cycle_vertices(self):
+        # a vertex is on a directed cycle iff it reaches itself by one or more edges
+        rng = np.random.default_rng(12)
+        names = [f"v{i}" for i in range(7)]
+        raised = 0
+        for _ in range(200):
+            edges = [(u, w) for u, w in itertools.permutations(names, 2) if rng.random() < 0.15]
+            on_cycle = []
+            for v in names:
+                seen, todo = set(), [w for u, w in edges if u == v]
+                while todo:
+                    u = todo.pop()
+                    if u not in seen:
+                        seen.add(u)
+                        todo.extend(w for t, w in edges if t == u)
+                if v in seen:
+                    on_cycle.append(v)
+            if not on_cycle:
+                Admg(names, directed=edges)
+                continue
+            raised += 1
+            with pytest.raises(InputError) as info:
+                Admg(names, directed=edges)
+            assert str(info.value) == f"directed part has a cycle through {{{','.join(on_cycle)}}}"
+        assert raised >= 50
 
     def test_parallel_directed_and_bidirected_allowed(self):
         g = Admg(["x", "y"], directed=[("x", "y")], bidirected=[("x", "y")])

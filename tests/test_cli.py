@@ -106,6 +106,12 @@ class TestGoldens:
         assert code == 0
         assert out == (GOLDENS / golden).read_text()
 
+    @pytest.mark.parametrize("axioms,exit_code", [("composition", 0), ("semigraphoid", 1)])
+    def test_verify_outputs(self, capsys, axioms, exit_code):
+        code, out, _ = run(capsys, "verify", "figure3", "--axioms", axioms)
+        assert code == exit_code
+        assert out == (GOLDENS / f"figure3_verify_{axioms}.txt").read_text()
+
 
 class TestExitCodes:
     def test_msep_separated_and_connected(self, capsys):
@@ -162,9 +168,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot ") and repr(argv[-1]) in proc.stderr
 
-    @pytest.mark.parametrize("at_line", [1, 3], ids=["header", "body"])
-    def test_oversized_csv_field_exits_2(self, tmp_path, at_line):
-        big = '"' + "x" * 200_000 + '"'
+    @pytest.mark.parametrize(
+        "at_line, big",
+        [
+            (1, '"' + "x" * 200_000 + '"'),
+            (3, '"' + "x" * 200_000 + '"'),
+            (3, '"' + "0" * 199_999 + '1"'),  # a number numpy alone would read
+        ],
+        ids=["header", "body", "body-number"],
+    )
+    def test_oversized_csv_field_exits_2(self, tmp_path, at_line, big):
         rows = ["a,b", "1.0,2.0", "3.0,4.0"]
         rows[at_line - 1] = big + ",5.0"
         path = tmp_path / "big.csv"

@@ -15,6 +15,7 @@ from admgci import (
     m_separated,
     reduced_basis,
 )
+from admgci.implication import implies_each
 from conftest import random_admg
 from oracles import closure_round_robin
 
@@ -128,13 +129,20 @@ class TestClosureProperties:
 
     def test_matches_round_robin_schedule(self):
         rng = np.random.default_rng(43)
-        vertices = ["a", "b", "c", "d"]
-        uni = StatementUniverse(vertices)
-        for _ in range(8):
-            seed = random_statements(rng, vertices, 2)
-            for comp in (False, True):
-                axioms = WITH_COMPOSITION if comp else SEMI_GRAPHOID
-                assert closure(uni, seed, axioms) == closure_round_robin(seed, comp)
+        for n, cases in ((4, 8), (5, 150), (6, 150)):
+            vertices = list("abcdef"[:n])
+            uni = StatementUniverse(vertices)
+            for _ in range(cases):
+                seed = random_statements(rng, vertices, int(rng.integers(1, 4)))
+                for axioms in (SEMI_GRAPHOID, WITH_COMPOSITION):
+                    want = closure_round_robin(seed, axioms.composition)
+                    assert closure(uni, seed, axioms) == want, seed
+                    members = sorted(want, key=lambda st: st.render())
+                    targets = random_statements(rng, vertices, 4)
+                    targets += members[:: len(members) // 3 or 1]
+                    got = [implies(uni, seed, t, axioms) for t in targets]
+                    assert got == implies_each(uni, seed, targets, axioms)
+                    assert got == [t in want for t in targets], seed
 
     def test_sound_for_m_separation(self):
         # seeds that hold as m-separations stay m-separations after closure

@@ -452,6 +452,22 @@ class TestReducedBasis:
             uni = StatementUniverse(g.vertices)
             assert set(ordered) <= closure(uni, basis.statements, WITH_COMPOSITION)
 
+    def test_closure_recovers_ordered_statements_at_9_and_10_vertices(self):
+        # the paper's claim on graphs past the suite's usual size; at this
+        # density nearly every graph has a mixed directed cycle, and the
+        # claim says something only where the basis pruned a statement
+        rng = np.random.default_rng(35)
+        cyclic = pruning = 0
+        for _ in range(200):
+            g = random_admg(rng, int(rng.integers(9, 11)))
+            cyclic += g.has_mixed_directed_cycle()
+            basis = reduced_basis(g)
+            pruning += bool(basis.pruned)
+            ordered = ordered_local_markov(g, basis.ordering)
+            uni = StatementUniverse(g.vertices)
+            assert set(ordered) <= closure(uni, basis.statements, WITH_COMPOSITION), repr(g)
+        assert cyclic >= 100 and pruning >= 50, (cyclic, pruning)
+
     def test_pure_bidirected_matches_pairwise_family(self):
         # one statement per vertex: independent of all non-spouses, given nothing
         rng = np.random.default_rng(34)

@@ -152,6 +152,8 @@ def _read(read, path):
 @example("a,b\n \n\n")  # loadtxt would warn on the empty body
 @example("a,b\n1_0,2\r\n 3,4\r\n")  # only float reads 1_0
 @example("a,b\n1,2\n\n3,-inf\n")  # the error names line 4
+@example('a,b\n1.0,2.0\n"' + "0" * 199_999 + '1",3.0\n')  # loadtxt reads 1.0, csv refuses
+@example('a,b\n"1.5",2.0\n3.0,"-4"\n')  # quoted numbers
 def test_csv_reader_matches_the_row_by_row_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
