@@ -13,8 +13,8 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
+from collections.abc import Collection, Iterable
 from itertools import chain
-from typing import Collection, Iterable
 
 from .errors import CapacityError, InputError
 

@@ -7,22 +7,24 @@ test failure or an output pipe closed early, 2 input error, 3 capacity exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import implication, markov, msep
 from .admg import Admg, validate_ordering
 from .errors import CapacityError, GenerationError, InputError, NumericError
 from .graphio import load_graph
-from .statements import CiStatement, dedupe
+
+# each handler imports the modules it runs beyond the graph core, so that a
+# process loads only what its subcommand needs: sem (numpy) for simulate and
+# sem-check, markov and statements for the statement bases, implication for
+# verify, msep for msep
 
 
 def _split_names(value: str) -> list[str]:
     return [t.strip() for t in value.split(",") if t.strip()]
 
 
-def _statement_json(st: CiStatement, provenance: str | None = None, implied_by=None) -> dict:
+def _statement_json(st, provenance: str | None = None, implied_by=None) -> dict:
     d = st.to_json_dict()
     d["provenance"] = provenance
     d["implied_by"] = implied_by
@@ -30,6 +32,8 @@ def _statement_json(st: CiStatement, provenance: str | None = None, implied_by=N
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -71,6 +75,8 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_msep(args) -> int:
+    from . import msep
+
     g = load_graph(args.graph)
     x = _split_names(args.x)
     y = _split_names(args.y)
@@ -86,6 +92,8 @@ def _cmd_msep(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import markov
+
     g = load_graph(args.graph)
     order = markov.build_collapsed_ordering(g)
     if args.format == "json":
@@ -97,6 +105,9 @@ def _cmd_order(args) -> int:
 
 def _analysis(g: Admg, mode: str, ordering, cap: int):
     """Returns (ordering, statements, provenance, pruned, invoked|None)."""
+    from . import markov
+    from .statements import dedupe
+
     if mode == "reduced":
         statements = markov.reduced_local_markov(g)
         return None, statements, [markov.REDUCED_FORM] * len(statements), [], None
@@ -110,6 +121,8 @@ def _analysis(g: Admg, mode: str, ordering, cap: int):
 
 
 def _enum_cap(args) -> int:
+    from . import markov
+
     return args.cap if args.cap is not None else markov.ANCESTRAL_ENUM_CAP
 
 
@@ -142,6 +155,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import implication, markov
+
     g = load_graph(args.graph)
     ordering = _ordering_arg(g, args.order)
     basis = markov.reduced_basis(g, ordering, _enum_cap(args))
@@ -186,6 +201,8 @@ def _cmd_verify(args) -> int:
 
 
 def _plan_for(g: Admg, mode: str, ordering, cap: int):
+    from . import markov
+
     _, statements, _, _, _ = _analysis(g, mode, ordering, cap)
     return markov.test_plan(statements)
 
@@ -210,7 +227,7 @@ def _cmd_sem_tests(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import sem  # numpy, which no graph-only subcommand loads
+    from . import sem
 
     g = load_graph(args.graph)
     params = sem.random_parameters(g, args.seed)

@@ -8,8 +8,7 @@ are errors.
 
 from __future__ import annotations
 
-from importlib import resources
-from pathlib import Path
+import errno
 
 from .admg import Admg, _NAME_RE
 from .errors import GraphParseError, InputError, file_error
@@ -82,6 +81,8 @@ def fixture_text(name: str) -> str:
     """Source text of a bundled fixture graph (figure1, figure2, figure3)."""
     if name not in FIXTURE_NAMES:
         raise InputError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    from importlib import resources
+
     return resources.files(__package__).joinpath(f"fixtures/{name}.txt").read_text()
 
 
@@ -91,11 +92,7 @@ def fixture_graph(name: str) -> Admg:
 
 def load_graph(path_or_fixture: str) -> Admg:
     """Load a graph from a file path, falling back to bundled fixture names."""
-    p = Path(path_or_fixture)
-    try:
-        text = p.read_text() if p.exists() else None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise file_error(path_or_fixture, exc) from None
+    text = _read_text(path_or_fixture)
     if text is not None:
         return parse_graph(text)
     if path_or_fixture in FIXTURE_NAMES:
@@ -104,3 +101,20 @@ def load_graph(path_or_fixture: str) -> Admg:
         f"no such file or bundled fixture: {path_or_fixture!r} "
         f"(fixtures: {', '.join(FIXTURE_NAMES)})"
     )
+
+
+def _read_text(path: str) -> str | None:
+    """The text of the file at ``path``, or ``None`` if no file is there."""
+    try:
+        fh = open(path)
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        return None  # ValueError: a NUL byte in the path
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            return None
+        raise file_error(path, exc) from None
+    with fh:
+        try:
+            return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise file_error(path, exc) from None

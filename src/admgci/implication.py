@@ -15,22 +15,24 @@ statement found yields the target by symmetry, decomposition and weak union.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections import defaultdict, deque, namedtuple
+from collections.abc import Iterable
 
 from .errors import CapacityError, InputError
 from .statements import CiStatement
 
 UNIVERSE_CAP = 12
 
+# statements one saturation may hold; the largest closures run in the tests
+# hold about 43 000 (10 vertices), those of the 8-vertex desk shapes 2 100
+CLOSURE_BUDGET = 50_000
 
-@dataclass(frozen=True)
-class AxiomSet:
+
+class AxiomSet(namedtuple("AxiomSet", "composition", defaults=(False,))):
     """Rule selection: the four semi-graphoid rules always apply, composition
-    on request."""
+    on request. A named tuple: immutable, compared and hashed as a tuple."""
 
-    composition: bool = False
+    __slots__ = ()
 
 
 SEMI_GRAPHOID = AxiomSet(composition=False)
@@ -96,7 +98,9 @@ def _saturate(
     targets: Iterable[tuple[int, int, int]] = (),
 ) -> tuple[list[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Least fixpoint of the enabled rules, or as much of it as entails every
-    target. Returns the canonical triples and the targets not entailed."""
+    target. Returns the canonical triples and the targets not entailed.
+    Raises :class:`CapacityError` once more than ``CLOSURE_BUDGET`` triples
+    are found."""
     word = universe.word
     wanted = set(targets)
     seen: set[int] = set()
@@ -113,13 +117,19 @@ def _saturate(
             return False
         seen.add(w)
         triples.append((x, z, y))
+        if wanted:
+            wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
+            if not wanted:
+                return True
+        if len(triples) > CLOSURE_BUDGET:
+            raise CapacityError(
+                f"the closure over {len(universe.vertices)} vertices found "
+                f"{len(triples)} statements, over its budget of {CLOSURE_BUDGET}"
+            )
         queue.append((x, z, y))
         for a, b in ((x, y), (y, x)):
             by_xz[(a, z)].append(b)
             by_xu[(a, z | b)].append((z, b))
-        if wanted:
-            wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
-            return not wanted
         return False
 
     for st in seed:

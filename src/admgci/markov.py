@@ -10,9 +10,9 @@ of conditional-independence statements for arbitrary ADMGs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Iterator
 from itertools import chain
-from typing import Collection, Iterable, Iterator
 
 from .admg import MIXED_PATH_BUDGET, Admg, validate_ordering
 from .admg import _lex_topological, _mixed_path_search, _strong_components
@@ -25,27 +25,34 @@ REDUCED_FORM = "reduced-form"
 ORDERED_LOCAL = "ordered-local"
 
 
-@dataclass(frozen=True)
-class PrunedStatement:
-    """A statement dropped from the basis because an emitted one implies it."""
-
-    statement: CiStatement
-    implied_by: int  # index into ReducedBasis.statements
+# the record types below are named tuples: immutable, compared and hashed
+# field by field, as tuples
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
-    """Output of :func:`reduced_basis`: statements, per-statement provenance,
-    the ordering used, and the audit trail of pruned statements."""
+class PrunedStatement(namedtuple("PrunedStatement", "statement implied_by")):
+    """A statement dropped from the basis because an emitted one implies it:
+    the :class:`CiStatement` and the index into ``ReducedBasis.statements`` of
+    the statement implying it."""
 
-    ordering: tuple[str, ...]
-    statements: tuple[CiStatement, ...]
-    provenance: tuple[str, ...]
-    pruned: tuple[PrunedStatement, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.statements) != len(self.provenance):
+
+class ReducedBasis(namedtuple("ReducedBasis", "ordering statements provenance pruned")):
+    """Output of :func:`reduced_basis`: the ordering used (a tuple of names),
+    the statements, one provenance tag per statement, and the audit trail of
+    pruned statements, each a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, ordering, statements, provenance, pruned):
+        if len(statements) != len(provenance):
             raise InternalError("one provenance tag per statement required")
+        return super().__new__(cls, ordering, statements, provenance, pruned)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which would skip the check
+        return cls(*iterable)
 
 
 # --- blankets and ancestral sets ---------------------------------------------
@@ -450,14 +457,12 @@ def reduced_basis(
 # --- the vanishing-partial-correlation tests a basis implies ---------------------
 
 
-@dataclass(frozen=True)
-class PartialCorrTest:
-    """A single vanishing-partial-correlation hypothesis."""
+class PartialCorrTest(namedtuple("PartialCorrTest", "x y given source_statement")):
+    """A single vanishing-partial-correlation hypothesis: vertex names ``x``
+    and ``y``, the frozenset ``given``, and the index of the statement it
+    came from."""
 
-    x: str
-    y: str
-    given: frozenset[str]
-    source_statement: int
+    __slots__ = ()
 
     def render(self) -> str:
         if self.given:

@@ -18,7 +18,7 @@ intentionally small-graph only.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator
+from collections.abc import Collection, Iterator
 
 from .admg import Admg
 from .errors import CapacityError, InputError

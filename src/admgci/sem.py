@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 

@@ -10,20 +10,22 @@ vertex a rule was applied to on the ``x`` side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from collections.abc import Collection, Iterable
 
 from .errors import InputError
 
 
-@dataclass(frozen=True, eq=False)
 class CiStatement:
-    """A triple (x, z, y) of disjoint vertex sets, read "x independent of y given z"."""
+    """A triple (x, z, y) of disjoint vertex sets, read "x independent of y given z".
+
+    Immutable: its fields are set once, in the constructor.
+    """
+
+    __slots__ = ("x", "z", "y", "_key")
 
     x: frozenset[str]
     z: frozenset[str]
     y: frozenset[str]
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, x: Collection[str], z: Collection[str], y: Collection[str]):
         fx, fz, fy = frozenset(x), frozenset(z), frozenset(y)
@@ -31,10 +33,20 @@ class CiStatement:
             raise InputError("a CI statement needs non-empty sets on both independence sides")
         if not (fx.isdisjoint(fy) and fx.isdisjoint(fz) and fy.isdisjoint(fz)):
             raise InputError("the three sets of a CI statement must be pairwise disjoint")
-        object.__setattr__(self, "x", fx)
-        object.__setattr__(self, "z", fz)
-        object.__setattr__(self, "y", fy)
-        object.__setattr__(self, "_key", (frozenset((fx, fy)), fz))
+        setter = object.__setattr__
+        setter(self, "x", fx)
+        setter(self, "z", fz)
+        setter(self, "y", fy)
+        setter(self, "_key", (frozenset((fx, fy)), fz))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CiStatement")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable CiStatement")
+
+    def __reduce__(self):
+        return CiStatement, (self.x, self.z, self.y)
 
     @property
     def key(self) -> tuple:

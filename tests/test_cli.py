@@ -137,6 +137,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "figure3", "--mode", "ordered", "--cap", "1")
         assert code == 3 and "cap" in err
 
+    def test_paths_that_name_no_file_fall_back_to_fixtures(self, capsys, tmp_path):
+        (tmp_path / "file.txt").write_text("a -> b\n")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+        for name in ["file.txt/x", "loop", "dangling", "missing", "a\0b"]:
+            code, out, err = run(capsys, "components", str(tmp_path / name))
+            assert (code, out) == (2, ""), name
+            assert err.startswith("error: no such file or bundled fixture: "), name
+
+    def test_closure_over_budget_exits_3(self, capsys, tmp_path):
+        # an 11-vertex graph whose basis leaves ordered-local statements
+        # underivable without composition, so verify saturates the closure
+        path = tmp_path / "g.txt"
+        path.write_text(
+            "v10 -> v2\nv10 -> v8\nv2 -> v7\nv3 -> v1\nv3 -> v5\nv6 -> v0\nv8 -> v7\n"
+            "v9 -> v0\nv9 -> v3\nv9 -> v7\nv0 <-> v10\nv0 <-> v2\nv0 <-> v3\nv0 <-> v5\n"
+            "v10 <-> v5\nv10 <-> v9\nv4 <-> v7\n"
+        )
+        code, out, err = run(capsys, "verify", str(path), "--axioms", "semigraphoid")
+        assert (code, out) == (3, "")
+        assert err.startswith("capacity error: the closure over 11 vertices found 50001 statements")
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["analyze", "figure2", "--bogus"]) == 2
         assert main(["verify", "figure2", "--mode", "ordered-vs-reduced"]) == 2
@@ -167,6 +189,31 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot ") and repr(argv[-1]) in proc.stderr
+
+    @pytest.mark.parametrize(
+        "data, code",
+        [(b"a -> b\n", 0), (bytes(range(128, 256)), 2)],
+        ids=["text", "binary"],
+    )
+    def test_graph_read_from_a_pipe_is_read_once(self, data, code):
+        # a pipe cannot be read twice: undecodable bytes end in exit 2,
+        # never in an empty graph
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-X", "utf8", "-m", "admgci", "components", f"/dev/fd/{r}"],
+                capture_output=True, text=True, env=process_env(), timeout=60, pass_fds=(r,),
+            )
+        finally:
+            os.close(r)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"error: cannot read '/dev/fd/{r}': ")
+        else:
+            assert proc.stdout == "c-components: {a} {b}\nmixed-directed-cycle: no\n"
 
     @pytest.mark.parametrize(
         "at_line, big",
@@ -242,43 +289,85 @@ class TestExitCodes:
         assert code == 2 and "consistent" in err
 
 
+# each graph-only subcommand, with the package modules it loads beyond the
+# graph core: the package, cli, admg, graphio and errors
 GRAPH_ONLY = [
-    ["components", "figure1"],
-    ["msep", "figure2", "--x", "a", "--y", "e", "--given", "d"],
-    ["order", "figure1"],
-    ["analyze", "figure3"],
-    ["verify", "figure2"],
-    ["sem-tests", "figure2"],
+    (["components", "figure1"], []),
+    (["msep", "figure2", "--x", "a", "--y", "e", "--given", "d"], ["msep"]),
+    (["order", "figure1"], ["markov", "statements"]),
+    (["analyze", "figure3"], ["markov", "statements"]),
+    (["verify", "figure2"], ["implication", "markov", "statements"]),
+    (["sem-tests", "figure2"], ["markov", "statements"]),
 ]
+CORE = ["admgci", "admgci.admg", "admgci.cli", "admgci.errors", "admgci.graphio"]
+
+MODULE_PROBE = """
+import contextlib, io, sys
+from admgci.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = set(sys.modules)
+import json
+watched = ("dataclasses", "importlib.resources", "json", "numpy", "pathlib", "typing")
+print(json.dumps({
+    "code": code,
+    "admgci": sorted(m for m in loaded if m.split(".")[0] == "admgci"),
+    "stdlib": [m for m in watched if m in loaded],
+}))
+"""
 
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import json, sys
 import admgci
-from admgci.cli import main
-report = {"after_import": "numpy" in sys.modules, "after_commands": []}
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    report["after_commands"].append([code, "numpy" in sys.modules])
+report = {"after_import": "numpy" in sys.modules, "loaded": sorted(vars(admgci))}
 report["sem_names"] = [admgci.DataTable.__name__, admgci.run_tests.__name__]
 report["after_sem_names"] = "numpy" in sys.modules
+report["bound"] = [n for n in ("DataTable", "run_tests", "reduced_basis") if n in vars(admgci)]
 report["unresolved"] = [n for n in admgci.__all__ if not hasattr(admgci, n)]
 report["all"] = admgci.__all__
+report["dir"] = [n for n in admgci.__all__ if n not in dir(admgci)]
+star = {}
+exec("from admgci import *", star)
+report["star"] = [n for n in admgci.__all__ if star.get(n) is not getattr(admgci, n)]
 print(json.dumps(report))
 """
 
 
+def module_report(argv, *flags):
+    proc = run_process(*flags, "-c", MODULE_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_graph_only_subcommands_never_import_numpy():
-    proc = run_process("-c", NUMPY_PROBE, json.dumps(GRAPH_ONLY))
+    for argv, extra in GRAPH_ONLY:
+        report = module_report(argv)
+        assert report["code"] == 0, argv
+        assert report["admgci"] == sorted(CORE + [f"admgci.{m}" for m in extra]), argv
+        assert "numpy" not in report["stdlib"] and "dataclasses" not in report["stdlib"], argv
+
+    proc = run_process("-c", NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    # importing the package loads none of its modules and binds no public name
     assert report["after_import"] is False
-    assert report["after_commands"] == [[0, False]] * len(GRAPH_ONLY)
-    # the SEM names still resolve, and load numpy on first use
+    assert not set(report["loaded"]) & set(report["all"])
+    # the SEM names still resolve, load numpy on first use, and are then bound
     assert report["sem_names"] == ["DataTable", "run_tests"]
     assert report["after_sem_names"] is True
+    assert report["bound"] == ["DataTable", "run_tests"]
     assert report["unresolved"] == []
     assert len(report["all"]) == 50 and {"DataTable", "run_tests", "test_plan"} <= set(report["all"])
+    assert report["dir"] == [] and report["star"] == []
+
+
+def test_graph_file_subcommand_loads_no_annotation_or_resource_modules(tmp_path):
+    # without site (whose .pth files may preload them), a graph file in text
+    # format needs neither typing, pathlib, importlib.resources nor json
+    path = tmp_path / "g.txt"
+    path.write_text("a -> b\nb <-> c\n")
+    report = module_report(["components", str(path)], "-S")
+    assert (report["code"], report["admgci"], report["stdlib"]) == (0, CORE, [])
 
 
 class TestJson:

@@ -1,7 +1,11 @@
 import itertools
+import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -78,3 +82,46 @@ def test_cold_graph_first_queries_from_eight_threads():
                     assert got_ancestors == ancestors
     finally:
         sys.setswitchinterval(interval)
+
+
+LAZY_NAMES_PROBE = """
+import json, sys, threading
+import admgci
+names = ["Admg", "CiStatement", "closure", "m_separated", "reduced_basis", "DataTable"]
+barrier = threading.Barrier(8, timeout=60)
+seen = [None] * 8
+
+def worker(i):
+    barrier.wait()
+    seen[i] = [getattr(admgci, n) for n in names]
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps({
+    "alive": sum(t.is_alive() for t in threads),
+    "identical": [all(s[k] is seen[0][k] for s in seen) for k in range(len(names))],
+    "bound": [vars(admgci).get(n) is seen[0][k] for k, n in enumerate(names)],
+}))
+"""
+
+
+def test_first_lazy_access_from_eight_threads():
+    # the package resolves its public names on first access; eight threads
+    # making that first access at once in a fresh interpreter all get the
+    # one object, which is then bound in the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMES_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"alive": 0, "identical": [True] * 6, "bound": [True] * 6}

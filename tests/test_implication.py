@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 import expected
 from admgci import (
+    Admg,
     AxiomSet,
     CapacityError,
     CiStatement,
@@ -15,7 +18,8 @@ from admgci import (
     m_separated,
     reduced_basis,
 )
-from admgci.implication import implies_each
+from admgci import implication
+from admgci.implication import CLOSURE_BUDGET, implies_each
 from conftest import random_admg
 from oracles import closure_round_robin
 
@@ -153,3 +157,46 @@ class TestClosureProperties:
             uni = StatementUniverse(g.vertices)
             for st in closure(uni, basis.statements, WITH_COMPOSITION):
                 assert m_separated(g, st.x, st.y, st.z), (repr(g), st.render())
+
+
+def sparse_dag_11():
+    """An 11-vertex sparse DAG whose composition closure from its basis holds
+    110 245 statements: edge i -> j for i < j with probability 0.25."""
+    rng = random.Random(3)
+    names = [f"v{i:02d}" for i in range(12)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :] if rng.random() < 0.25]
+    return Admg(sorted({v for e in edges for v in e}), edges, [])
+
+
+class TestClosureBudget:
+    def test_largest_closure_is_refused(self):
+        g = sparse_dag_11()
+        basis = reduced_basis(g).statements
+        universe = StatementUniverse(g.vertices)
+        assert (len(g.vertices), len(basis)) == (11, 11)
+        refused = (
+            f"the closure over 11 vertices found {CLOSURE_BUDGET + 1} statements, "
+            f"over its budget of {CLOSURE_BUDGET}"
+        )
+        with pytest.raises(CapacityError, match=refused):
+            closure(universe, basis, WITH_COMPOSITION)
+        # a target that needs no rule is found before the budget runs out
+        assert implies_each(universe, basis, [basis[0]], WITH_COMPOSITION) == [True]
+
+    def test_target_found_by_the_triple_past_the_budget_is_answered(self, monkeypatch):
+        # the triple that would break the budget is checked against the
+        # targets first, so a found answer is never refused
+        g = Admg(["a", "b", "c", "d", "e"], [("a", "c"), ("b", "c"), ("c", "d")], [("d", "e")])
+        basis = reduced_basis(g).statements
+        universe = StatementUniverse(g.vertices)
+        triples, _ = implication._saturate(universe, basis, WITH_COMPOSITION)
+        k = max(
+            i for i, t in enumerate(triples)
+            if not any(implication._entails(*s, *t) for s in triples[:i])
+        )
+        names = universe.vertices
+        target = CiStatement(*([v for j, v in enumerate(names) if m >> j & 1] for m in triples[k]))
+        monkeypatch.setattr(implication, "CLOSURE_BUDGET", k)
+        assert implies_each(universe, basis, [target], WITH_COMPOSITION) == [True]
+        with pytest.raises(CapacityError, match=f"found {k + 1} statements"):
+            closure(universe, basis, WITH_COMPOSITION)
