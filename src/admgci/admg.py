@@ -34,6 +34,13 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _pair(edge: Iterable[str], kind: str) -> tuple[str, str]:
+    pair = tuple(edge)
+    if len(pair) != 2:
+        raise InputError(f"{kind} edge {pair!r} is not a pair of vertex names")
+    return pair
+
+
 class Admg:
     """An acyclic directed mixed graph over named vertices.
 
@@ -67,7 +74,8 @@ class Admg:
         vset = set(names)
 
         dir_edges: set[tuple[str, str]] = set()
-        for tail, head in directed:
+        for edge in directed:
+            tail, head = _pair(edge, "directed")
             if tail not in vset or head not in vset:
                 raise InputError(f"directed edge ({tail!r}, {head!r}) uses an undeclared vertex")
             if tail == head:
@@ -78,7 +86,7 @@ class Admg:
 
         bi_edges: set[frozenset[str]] = set()
         for pair in bidirected:
-            u, v = tuple(pair)
+            u, v = _pair(pair, "bi-directed")
             if u not in vset or v not in vset:
                 raise InputError(f"bi-directed edge ({u!r}, {v!r}) uses an undeclared vertex")
             if u == v:

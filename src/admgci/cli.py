@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / verification passed, 1 verification or statistical
-test failure or an output pipe closed early, 2 input error, 3 capacity exceeded.
+test failure or an output pipe closed early, 2 input error, 3 a work budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cap_arg(value: str) -> int:
+def _nonnegative_int(value: str) -> int:
     try:
-        cap = int(value)
+        n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
 
 
 def _ordering_arg(g: Admg, value: str | None) -> tuple[str, ...] | None:
@@ -103,7 +104,7 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _analysis(g: Admg, mode: str, ordering, cap: int):
+def _analysis(g: Admg, mode: str, ordering):
     """Returns (ordering, statements, provenance, pruned, invoked|None)."""
     from . import markov
     from .statements import dedupe
@@ -113,25 +114,17 @@ def _analysis(g: Admg, mode: str, ordering, cap: int):
         return None, statements, [markov.REDUCED_FORM] * len(statements), [], None
     if mode == "ordered":
         order = ordering or markov.build_collapsed_ordering(g)
-        entries = markov.ordered_local_entries(g, order, cap)
+        entries = markov.ordered_local_entries(g, order)
         statements = dedupe(st for _, _, st in entries if st is not None)
         return order, statements, [markov.ORDERED_LOCAL] * len(statements), [], len(entries)
-    basis = markov.reduced_basis(g, ordering, cap)
+    basis = markov.reduced_basis(g, ordering)
     return basis.ordering, list(basis.statements), list(basis.provenance), list(basis.pruned), None
-
-
-def _enum_cap(args) -> int:
-    from . import markov
-
-    return args.cap if args.cap is not None else markov.ANCESTRAL_ENUM_CAP
 
 
 def _cmd_analyze(args) -> int:
     g = load_graph(args.graph)
     ordering = _ordering_arg(g, args.order)
-    order, statements, provenance, pruned, invoked = _analysis(
-        g, args.mode, ordering, _enum_cap(args)
-    )
+    order, statements, provenance, pruned, invoked = _analysis(g, args.mode, ordering)
     if args.format == "json":
         payload = {
             "mode": args.mode,
@@ -159,15 +152,14 @@ def _cmd_verify(args) -> int:
 
     g = load_graph(args.graph)
     ordering = _ordering_arg(g, args.order)
-    basis = markov.reduced_basis(g, ordering, _enum_cap(args))
-    ordered = markov.ordered_local_markov(g, basis.ordering, _enum_cap(args))
+    basis = markov.reduced_basis(g, ordering)
+    ordered = markov.ordered_local_markov(g, basis.ordering)
     axioms = (
         implication.WITH_COMPOSITION
         if args.axioms == "composition"
         else implication.SEMI_GRAPHOID
     )
-    universe_cap = args.cap if args.cap is not None else implication.UNIVERSE_CAP
-    universe = implication.StatementUniverse(g.vertices, cap=universe_cap)
+    universe = implication.StatementUniverse(g.vertices)
     in_basis = set(basis.statements)
     targets = [st for st in ordered if st not in in_basis]
     answers = implication.implies_each(universe, basis.statements, targets, axioms)
@@ -200,17 +192,17 @@ def _cmd_verify(args) -> int:
     return 0 if all_derivable else 1
 
 
-def _plan_for(g: Admg, mode: str, ordering, cap: int):
+def _plan_for(g: Admg, mode: str, ordering):
     from . import markov
 
-    _, statements, _, _, _ = _analysis(g, mode, ordering, cap)
+    _, statements, _, _, _ = _analysis(g, mode, ordering)
     return markov.test_plan(statements)
 
 
 def _cmd_sem_tests(args) -> int:
     g = load_graph(args.graph)
     ordering = _ordering_arg(g, args.order)
-    plan = _plan_for(g, args.mode, ordering, _enum_cap(args))
+    plan = _plan_for(g, args.mode, ordering)
     if args.format == "json":
         _print_json(
             {
@@ -246,7 +238,7 @@ def _cmd_sem_check(args) -> int:
     g = load_graph(args.graph)
     data = sem.DataTable.from_csv(args.data)
     ordering = _ordering_arg(g, args.order)
-    plan = _plan_for(g, args.mode, ordering, _enum_cap(args))
+    plan = _plan_for(g, args.mode, ordering)
     report = sem.run_tests(data, plan, alpha=args.alpha, correction=args.correction)
     if args.format == "json":
         _print_json(
@@ -296,25 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
             "axiom-closure verification, and linear-SEM partial-correlation "
             "tests. Graph files use one edge per line (a -> b, a <-> b); the "
             "bundled fixtures figure1, figure2 and figure3 can be named in "
-            "place of a file."
+            "place of a file. Each exponential step has a fixed work budget; "
+            "past it the command exits 3."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=False, cap=False):
+    def add_common(p, order=False):
         p.add_argument("graph", help="graph file path or bundled fixture name")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if order:
             p.add_argument("--order", help="comma-separated consistent vertex ordering")
-        if cap:
-            p.add_argument(
-                "--cap",
-                type=_cap_arg,
-                default=None,
-                help="size cap for the exponential enumeration/closure steps (defaults: 16 "
-                "members of the vertex's district before it for the ancestral-set "
-                "enumeration, 12 vertices for the closure universe)",
-            )
 
     p = sub.add_parser("components", help="c-components and mixed-cycle status")
     add_common(p)
@@ -332,33 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("analyze", help="emit local Markov statements")
-    add_common(p, order=True, cap=True)
+    add_common(p, order=True)
     p.add_argument("--mode", choices=("ordered", "reduced", "auto"), default="auto")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
         "verify", help="check the ordered-local statements against the pruned basis"
     )
-    add_common(p, order=True, cap=True)
+    add_common(p, order=True)
     p.add_argument(
         "--axioms", choices=("semigraphoid", "composition"), default="composition"
     )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sem-tests", help="list the vanishing-partial-correlation tests")
-    add_common(p, order=True, cap=True)
+    add_common(p, order=True)
     p.add_argument("--mode", choices=("ordered", "reduced", "auto"), default="auto")
     p.set_defaults(func=_cmd_sem_tests)
 
     p = sub.add_parser("simulate", help="draw data from a random parameterization")
     add_common(p)
     p.add_argument("--n", type=int, default=1000, help="number of observations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="random seed, at least 0")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sem-check", help="run the test plan against a CSV data file")
-    add_common(p, order=True, cap=True)
+    add_common(p, order=True)
     p.add_argument("data", help="CSV file with a header of vertex names")
     p.add_argument("--mode", choices=("ordered", "reduced", "auto"), default="auto")
     p.add_argument("--alpha", type=float, default=0.05)

@@ -27,7 +27,7 @@ class GraphParseError(InputError):
 
 
 class CapacityError(RuntimeError):
-    """Input exceeds a size cap of a deliberately desk-scale algorithm."""
+    """A deliberately exponential step exceeded its fixed work budget."""
 
 
 class NumericError(RuntimeError):

@@ -21,8 +21,6 @@ from collections.abc import Iterable
 from .errors import CapacityError, InputError
 from .statements import CiStatement
 
-UNIVERSE_CAP = 12
-
 # statements one saturation may hold; the largest closures run in the tests
 # hold about 43 000 (10 vertices), those of the 8-vertex desk shapes 2 100
 CLOSURE_BUDGET = 50_000
@@ -40,15 +38,11 @@ WITH_COMPOSITION = AxiomSet(composition=True)
 
 
 class StatementUniverse:
-    """All CI statements over a fixed ground set of at most ``cap`` vertices."""
+    """All CI statements over a fixed ground set of vertices. The universe has
+    no size limit: ``CLOSURE_BUDGET`` bounds the work of a closure in it."""
 
-    def __init__(self, vertices: Iterable[str], cap: int = UNIVERSE_CAP):
+    def __init__(self, vertices: Iterable[str]):
         self.vertices = tuple(sorted(set(vertices)))
-        if len(self.vertices) > cap:
-            raise CapacityError(
-                f"ground set of {len(self.vertices)} vertices exceeds the "
-                f"universe cap of {cap}"
-            )
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
     @property

@@ -19,7 +19,10 @@ from .admg import _lex_topological, _mixed_path_search, _strong_components
 from .errors import CapacityError, InputError, InternalError
 from .statements import CiStatement, dedupe
 
-ANCESTRAL_ENUM_CAP = 16
+# connected sub-districts (leaves of the take/exclude enumeration) one
+# maximal-ancestral-set call may visit; a bi-directed clique of 16 members
+# before the vertex has exactly this many
+ANCESTRAL_SET_BUDGET = 2**16
 
 REDUCED_FORM = "reduced-form"
 ORDERED_LOCAL = "ordered-local"
@@ -94,9 +97,7 @@ def markov_blanket(g: Admg, x: str, a: Collection[str]) -> frozenset[str]:
     return _blanket(g, x, _district_in(g, x, a))
 
 
-def maximal_ancestral_sets(
-    g: Admg, x: str, ordering: Iterable[str], cap: int = ANCESTRAL_ENUM_CAP
-) -> list[frozenset[str]]:
+def maximal_ancestral_sets(g: Admg, x: str, ordering: Iterable[str]) -> list[frozenset[str]]:
     """All ancestral sets A with ``x in A <= pre(x)`` that are maximal with
     respect to their Markov blanket: one per connected sub-district of ``x``.
 
@@ -106,30 +107,26 @@ def maximal_ancestral_sets(
     D avoid B = sp(D) & pre(x) - D, hence de(B), and pre(x) - de(B) is
     ancestral: it is the one maximal set, kept iff it still holds D. The D
     range over the bi-directed connected sets that hold ``x`` inside its
-    district within pre(x); :class:`CapacityError` is raised when more than
-    ``cap`` members of that district precede ``x``. Ordered by descending
-    size, then name.
+    district within pre(x); :class:`CapacityError` is raised once more than
+    ``ANCESTRAL_SET_BUDGET`` of them are visited. Ordered by descending size,
+    then name.
     """
     order = validate_ordering(g, ordering)
     g._check_vertex(x)
-    return [a for a, _ in _maximal_ancestral_sets(g, x, order[: order.index(x) + 1], cap)]
+    return [a for a, _ in _maximal_ancestral_sets(g, x, order[: order.index(x) + 1])]
 
 
 def _maximal_ancestral_sets(
-    g: Admg, x: str, pre: tuple[str, ...], cap: int
+    g: Admg, x: str, pre: tuple[str, ...]
 ) -> list[tuple[frozenset[str], frozenset[str]]]:
     """:func:`maximal_ancestral_sets` for the validated prefix ``pre`` ending in
     ``x``, each set paired with its D; the first D is x's district in ``pre``."""
     prefix = frozenset(pre)
     district = _district_in(g, x, prefix)
-    if len(district) - 1 > cap:
-        raise CapacityError(
-            f"{len(district) - 1} members of the district of {x} come before it, over the "
-            f"enumeration cap of {cap}; raise the cap to enumerate up to 2^{len(district) - 1} "
-            "sub-districts"
-        )
+    budget, leaves = ANCESTRAL_SET_BUDGET, 0
     # each step takes or excludes the least frontier vertex; at a leaf the
-    # excluded vertices are exactly the spouses of ``chosen`` in the prefix
+    # excluded vertices are exactly the spouses of ``chosen`` in the prefix,
+    # and the leaves are the distinct connected sub-districts that hold x
     result: list[tuple[frozenset[str], frozenset[str]]] = []
     stack = [(frozenset({x}), district.intersection(g._spouses[x]), frozenset())]
     while stack:
@@ -141,6 +138,12 @@ def _maximal_ancestral_sets(
             reach = district.intersection(g._spouses[v]) - grown - excluded
             stack.append((grown, rest | reach, excluded))
             continue
+        leaves += 1
+        if leaves > budget:
+            raise CapacityError(
+                f"the ancestral-set enumeration of {x} counted {leaves} connected "
+                f"sub-districts, over its budget of {budget}"
+            )
         blocked = frozenset().union(*(g._closure_of(b, g._children, g._de_cache) for b in excluded))
         if chosen.isdisjoint(blocked):
             result.append((prefix - blocked, chosen))
@@ -152,7 +155,7 @@ def _maximal_ancestral_sets(
 
 
 def ordered_local_entries(
-    g: Admg, ordering: Iterable[str], cap: int = ANCESTRAL_ENUM_CAP
+    g: Admg, ordering: Iterable[str]
 ) -> list[tuple[str, frozenset[str], CiStatement | None]]:
     """Every (vertex, maximal ancestral set) invocation of the ordered local
     property, with its statement, or ``None`` when the independence side is
@@ -160,31 +163,29 @@ def ordered_local_entries(
     order = validate_ordering(g, ordering)
     entries: list[tuple[str, frozenset[str], CiStatement | None]] = []
     for i, x in enumerate(order):
-        entries.extend((x, a, stmt) for a, _, stmt in _ordered_local(g, x, order[: i + 1], cap))
+        entries.extend((x, a, stmt) for a, _, stmt in _ordered_local(g, x, order[: i + 1]))
     return entries
 
 
 def _ordered_local(
-    g: Admg, x: str, pre: tuple[str, ...], cap: int
+    g: Admg, x: str, pre: tuple[str, ...]
 ) -> Iterator[tuple[frozenset[str], frozenset[str], CiStatement | None]]:
     """Each maximal ancestral set A of ``x`` in the validated prefix ``pre``,
     with its D = dis_A(x) and its statement I(x ; A - mb - {x} | mb), or
     ``None`` when that is vacuous; the blanket mb comes from D."""
-    for a, d in _maximal_ancestral_sets(g, x, pre, cap):
+    for a, d in _maximal_ancestral_sets(g, x, pre):
         mb = _blanket(g, x, d)
         indep = a - mb - {x}
         yield a, d, (CiStatement([x], mb, indep) if indep else None)
 
 
-def ordered_local_markov(
-    g: Admg, ordering: Iterable[str], cap: int = ANCESTRAL_ENUM_CAP
-) -> list[CiStatement]:
+def ordered_local_markov(g: Admg, ordering: Iterable[str]) -> list[CiStatement]:
     """The ordered local Markov statements for a consistent ordering.
 
     One statement per vertex and maximal ancestral set; vacuous statements
     (empty independence side) are dropped and duplicates canonicalized away.
     """
-    entries = ordered_local_entries(g, ordering, cap)
+    entries = ordered_local_entries(g, ordering)
     return dedupe(stmt for _, _, stmt in entries if stmt is not None)
 
 
@@ -395,11 +396,7 @@ def _prunable(g: Admg, dis_pre: frozenset, a: frozenset, d: frozenset, mb: froze
 # --- the basis-producing procedure ---------------------------------------------
 
 
-def reduced_basis(
-    g: Admg,
-    ordering: Iterable[str] | None = None,
-    cap: int = ANCESTRAL_ENUM_CAP,
-) -> ReducedBasis:
+def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasis:
     """Produce the pruned set of conditional-independence statements whose
     closure under the composition-extended semi-graphoid axioms recovers the
     ordered local Markov property.
@@ -435,7 +432,7 @@ def reduced_basis(
                 emit(stmt, REDUCED_FORM)
             continue
 
-        entries = list(_ordered_local(g, x, order[: i + 1], cap))
+        entries = list(_ordered_local(g, x, order[: i + 1]))
         # every set lies in the prefix, so only the prefix itself has i + 1 members
         if not entries or len(entries[0][0]) != i + 1:
             raise InternalError("the full prefix must be the largest maximal ancestral set")

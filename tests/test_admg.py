@@ -39,6 +39,20 @@ class TestConstruction:
         with pytest.raises(InputError, match="duplicate bi-directed"):
             Admg(["x", "y"], bidirected=[("x", "y"), ("y", "x")])
 
+    @pytest.mark.parametrize(
+        "kind, edges, shown",
+        [
+            ("bidirected", [("a",)], "bi-directed edge ('a',)"),
+            ("bidirected", [("a", "b", "c")], "bi-directed edge ('a', 'b', 'c')"),
+            ("directed", [("a", "b", "c")], "directed edge ('a', 'b', 'c')"),
+            ("directed", [()], "directed edge ()"),
+        ],
+    )
+    def test_edges_that_are_not_pairs_rejected(self, kind, edges, shown):
+        with pytest.raises(InputError) as info:
+            Admg(["a", "b", "c"], **{kind: edges})
+        assert str(info.value) == f"{shown} is not a pair of vertex names"
+
     def test_undeclared_endpoints_rejected(self):
         with pytest.raises(InputError, match="undeclared"):
             Admg(["x"], directed=[("x", "y")])

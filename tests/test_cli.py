@@ -10,7 +10,8 @@ import pytest
 import expected
 from admgci import Admg, GraphParseError, format_graph, parse_graph
 from admgci.cli import main
-from conftest import random_admg
+from conftest import random_admg, random_sparse_admg
+from oracles import m_separated_latent_moral
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -132,10 +133,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "analyze", "figure1", "--mode", "reduced")
         assert code == 2 and "mixed directed cycle" in err
 
-    def test_capacity_errors_exit_3(self, capsys):
-        # c has two members of its district, a and b, before it
-        code, _, err = run(capsys, "analyze", "figure3", "--mode", "ordered", "--cap", "1")
-        assert code == 3 and "cap" in err
+    def test_capacity_errors_exit_3(self, capsys, tmp_path):
+        # a bi-directed clique of 18 has 2^17 connected sub-districts that
+        # hold v17, twice the enumeration budget; v00 -> v17 keeps v17 off
+        # the reduced form, and v16, with exactly 2^16, is not enumerated
+        names = [f"v{i:02d}" for i in range(18)]
+        pairs = [(a, b) for a in names for b in names if a < b]
+        path = tmp_path / "clique.txt"
+        path.write_text(format_graph(Admg(names, [("v00", "v17")], pairs)))
+        code, out, err = run(capsys, "analyze", str(path), "--order", ",".join(names))
+        assert (code, out) == (3, "")
+        assert err == (
+            "capacity error: the ancestral-set enumeration of v17 counted 65537 connected "
+            "sub-districts, over its budget of 65536\n"
+        )
+
+    def test_long_district_chain_answers(self, capsys, tmp_path):
+        # 29 members of v029's district come before it, but it has only 30
+        # connected sub-districts
+        names = [f"v{i:03d}" for i in range(30)]
+        g = Admg(names, [("v000", "v029")], list(zip(names, names[1:])))
+        path = tmp_path / "chain.txt"
+        path.write_text(format_graph(g))
+        code, payload, _ = run_json(capsys, "analyze", str(path), "--mode", "auto")
+        assert code == 0 and len(payload["statements"]) == 56
+        for st in payload["statements"]:
+            assert m_separated_latent_moral(g, st["x"], st["indep"], st["given"]), st
 
     def test_paths_that_name_no_file_fall_back_to_fixtures(self, capsys, tmp_path):
         (tmp_path / "file.txt").write_text("a -> b\n")
@@ -165,8 +188,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "sem-tests"])
     def test_negative_cap_exits_2_before_any_work(self, capsys, command):
-        assert main([command, "figure1", "--cap", "-1"]) == 2
-        assert "--cap: must be at least 0, got -1" in capsys.readouterr().err
+        # the work budgets are constants; no flag changes them, so any --cap
+        # is refused by the parser before a graph is read
+        code, out, err = run(capsys, command, "figure3", "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap -1" in err
+        code, out, err = run(capsys, command, "figure3", "--cap", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 1" in err
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "figure1", "--seed", "-1", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "argument --seed: must be at least 0, got -1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -435,6 +471,30 @@ class TestJson:
         assert payload["all_derivable"] is False
         underivable = [c for c in payload["checked"] if not c["derivable"]]
         assert underivable
+
+    def test_verify_past_twelve_vertices(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(random_sparse_admg(np.random.default_rng(0), 20)))
+        code, payload, _ = run_json(capsys, "verify", str(path), "--axioms", "composition")
+        assert code == 0 and payload["all_derivable"] is True
+        assert len(payload["ordering"]) == 20
+
+    def test_verify_answers_or_exits_3_on_13_to_20_vertices(self, capsys, tmp_path):
+        # the basis implies every ordered-local statement under composition,
+        # so verify never ends in 1; past the closure budget it ends in 3
+        rng = np.random.default_rng(7)
+        path = tmp_path / "g.txt"
+        codes = []
+        for i in range(40):
+            path.write_text(format_graph(random_sparse_admg(rng, 13 + i % 8)))
+            code, out, err = run(capsys, "verify", str(path), "--axioms", "composition")
+            if code == 3:
+                assert out == "" and err.startswith("capacity error: the closure over "), err
+            else:
+                assert code == 0, out
+                assert out.splitlines()[-1].startswith("all ordered-local statements follow")
+            codes.append(code)
+        assert codes.count(0) >= 10, codes
 
 
 class TestSemPipeline:

@@ -45,9 +45,15 @@ class TestAxiomSet:
 
 class TestUniverse:
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            StatementUniverse([f"v{i:02d}" for i in range(13)])
-        assert StatementUniverse(["x", "y"], cap=2).slots == 16
+        # no size limit: the closure budget bounds the work instead
+        names = [f"v{i:02d}" for i in range(13)]
+        uni = StatementUniverse(names)
+        assert uni.slots == 4**13
+        seed = [CiStatement(["v00"], [], names[1:])]
+        assert implies(uni, seed, CiStatement(["v12"], names[1:6], ["v00"]))
+        pair = [CiStatement(["v00"], ["v11"], ["v12"])]
+        assert closure(uni, pair) == set(pair)
+        assert not implies(uni, pair, CiStatement(["v00"], [], ["v12"]))
 
     def test_encode_decode_roundtrip(self):
         uni = StatementUniverse(["a", "b", "c", "d"])

@@ -23,6 +23,7 @@ from admgci import (
     redundant_ancestral_set,
     validate_ordering,
 )
+from admgci import markov
 from admgci.markov import ORDERED_LOCAL, REDUCED_FORM, _district_in
 from conftest import random_admg, random_bidirected_graph, random_cycle_free_admg, random_dag
 from oracles import (
@@ -111,22 +112,35 @@ class TestMaximalAncestralSets:
             order = build_collapsed_ordering(g)
             assert maximal_ancestral_sets(g, order[0], order) == [frozenset({order[0]})]
 
-    def test_capacity(self):
-        # the cap counts the members of the vertex's district before it, not
-        # the prefix: 18 isolated vertices need no enumeration at all
+    def test_capacity(self, monkeypatch):
+        # the budget counts the connected sub-districts that hold the vertex,
+        # not its prefix or district: 18 isolated vertices have one, and the
+        # 17 members of a chain before v17 give only 18
         names = [f"v{i:02d}" for i in range(18)]
         assert maximal_ancestral_sets(Admg(names), "v17", names) == [frozenset(names)]
         chain = Admg(names, bidirected=list(zip(names, names[1:])))
-        with pytest.raises(CapacityError, match="17 members of the district of v17"):
-            maximal_ancestral_sets(chain, "v17", names)
-        with pytest.raises(CapacityError, match="cap of 2"):
-            maximal_ancestral_sets(chain, "v03", names, cap=2)
-        assert maximal_ancestral_sets(chain, "v03", names, cap=3) == [
+        sets = maximal_ancestral_sets(chain, "v17", names)
+        full = frozenset(names)
+        assert len(sets) == 18 and set(sets) == {full, *(full - {v} for v in names[:-1])}
+        # v03 has 4 sub-districts in the chain; the budget is read per call
+        monkeypatch.setattr(markov, "ANCESTRAL_SET_BUDGET", 3)
+        refused = "enumeration of v03 counted 4 connected sub-districts, over its budget of 3"
+        with pytest.raises(CapacityError, match=refused):
+            maximal_ancestral_sets(chain, "v03", names)
+        monkeypatch.setattr(markov, "ANCESTRAL_SET_BUDGET", 4)
+        assert maximal_ancestral_sets(chain, "v03", names) == [
             {"v00", "v01", "v02", "v03"},
             {"v00", "v01", "v03"},
             {"v00", "v02", "v03"},
             {"v01", "v02", "v03"},
         ]
+        # a bi-directed clique of k members before x has 2^k sub-districts,
+        # so a budget of 2^k refuses it exactly at k + 1 members
+        clique = Admg(names[:6], bidirected=[(a, b) for a in names[:6] for b in names[:6] if a < b])
+        monkeypatch.setattr(markov, "ANCESTRAL_SET_BUDGET", 2**4)
+        assert len(maximal_ancestral_sets(clique, "v04", names[:6])) == 2**4
+        with pytest.raises(CapacityError, match="v05 counted 17 connected sub-districts"):
+            maximal_ancestral_sets(clique, "v05", names[:6])
 
     def test_matches_subset_scan(self):
         rng = np.random.default_rng(35)
