@@ -301,8 +301,8 @@ def _lex_topological(nodes: Iterable, parents, children) -> list:
 def _strong_components(nodes: Iterable, successors) -> dict:
     """Strongly connected components by an iterative Tarjan pass.
 
-    Maps every node to the root of its component, a member that names it.
-    ``successors(v)`` must yield only members of ``nodes``.
+    Maps every node reached from ``nodes`` along ``successors`` to the root
+    of its component, a member that names it.
     """
     index: dict = {}
     low: dict = {}

@@ -18,7 +18,9 @@ from .graphio import load_graph
 # each handler imports the modules it runs beyond the graph core, so that a
 # process loads only what its subcommand needs: sem (numpy) for simulate and
 # sem-check, markov and statements for the statement bases, implication for
-# verify, msep for msep
+# verify, msep for msep. A handler returns its exit code and its JSON payload;
+# ``main`` prints the payload, or the lines of the subcommand's text view, a
+# function of the payload alone, so the text shows nothing the JSON lacks.
 
 
 def _split_names(value: str) -> list[str]:
@@ -32,10 +34,20 @@ def _statement_json(st, provenance: str | None = None, implied_by=None) -> dict:
     return d
 
 
-def _print_json(payload: dict) -> None:
-    import json
+def _statement_text(d: dict) -> str:
+    from .statements import CiStatement
 
-    print(json.dumps(payload, indent=2))
+    return CiStatement(d["x"], d["given"], d["indep"]).render()
+
+
+def _test_json(t) -> dict:
+    return {"x": t.x, "y": t.y, "given": sorted(t.given)}
+
+
+def _test_text(t: dict) -> str:
+    from .markov import PartialCorrTest
+
+    return PartialCorrTest(t["x"], t["y"], frozenset(t["given"]), None).render()
 
 
 def _nonnegative_int(value: str) -> int:
@@ -54,28 +66,24 @@ def _ordering_arg(g: Admg, value: str | None) -> tuple[str, ...] | None:
     return validate_ordering(g, _split_names(value))
 
 
-# --- subcommand handlers ------------------------------------------------------
+# --- subcommand handlers and their text views ---------------------------------
 
 
-def _cmd_components(args) -> int:
+def _cmd_components(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
-    comps = g.c_components()
-    cyclic = g.has_mixed_directed_cycle()
-    if args.format == "json":
-        _print_json(
-            {
-                "components": [sorted(c) for c in comps],
-                "mixed_directed_cycle": cyclic,
-            }
-        )
-    else:
-        rendered = " ".join("{" + ",".join(sorted(c)) + "}" for c in comps)
-        print(f"c-components: {rendered}")
-        print(f"mixed-directed-cycle: {'yes' if cyclic else 'no'}")
-    return 0
+    return 0, {
+        "components": [sorted(c) for c in g.c_components()],
+        "mixed_directed_cycle": g.has_mixed_directed_cycle(),
+    }
 
 
-def _cmd_msep(args) -> int:
+def _text_components(p):
+    rendered = " ".join("{" + ",".join(c) + "}" for c in p["components"])
+    yield f"c-components: {rendered}"
+    yield f"mixed-directed-cycle: {'yes' if p['mixed_directed_cycle'] else 'no'}"
+
+
+def _cmd_msep(args) -> tuple[int, dict]:
     from . import msep
 
     g = load_graph(args.graph)
@@ -83,25 +91,22 @@ def _cmd_msep(args) -> int:
     y = _split_names(args.y)
     z = _split_names(args.given) if args.given else []
     separated = msep.m_separated(g, x, y, z)
-    if args.format == "json":
-        _print_json(
-            {"x": sorted(x), "y": sorted(y), "given": sorted(z), "separated": separated}
-        )
-    else:
-        print("separated" if separated else "connected")
-    return 0 if separated else 1
+    payload = {"x": sorted(x), "y": sorted(y), "given": sorted(z), "separated": separated}
+    return (0 if separated else 1), payload
 
 
-def _cmd_order(args) -> int:
+def _text_msep(p):
+    yield "separated" if p["separated"] else "connected"
+
+
+def _cmd_order(args) -> tuple[int, dict]:
     from . import markov
 
-    g = load_graph(args.graph)
-    order = markov.build_collapsed_ordering(g)
-    if args.format == "json":
-        _print_json({"ordering": list(order)})
-    else:
-        print(",".join(order))
-    return 0
+    return 0, {"ordering": list(markov.build_collapsed_ordering(load_graph(args.graph)))}
+
+
+def _text_order(p):
+    yield ",".join(p["ordering"])
 
 
 def _analysis(g: Admg, mode: str, ordering):
@@ -121,33 +126,29 @@ def _analysis(g: Admg, mode: str, ordering):
     return basis.ordering, list(basis.statements), list(basis.provenance), list(basis.pruned), None
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
     ordering = _ordering_arg(g, args.order)
     order, statements, provenance, pruned, invoked = _analysis(g, args.mode, ordering)
-    if args.format == "json":
-        payload = {
-            "mode": args.mode,
-            "ordering": list(order) if order else None,
-            "statements": [
-                _statement_json(st, tag) for st, tag in zip(statements, provenance)
-            ],
-        }
-        if invoked is not None:
-            payload["invoked"] = invoked
-        if args.mode == "auto":
-            payload["pruned"] = [
-                _statement_json(p.statement, "ordered-local-pruned", p.implied_by)
-                for p in pruned
-            ]
-        _print_json(payload)
-    else:
-        for st in statements:
-            print(st.render())
-    return 0
+    payload = {
+        "mode": args.mode,
+        "ordering": list(order) if order else None,
+        "statements": [_statement_json(st, tag) for st, tag in zip(statements, provenance)],
+    }
+    if invoked is not None:
+        payload["invoked"] = invoked
+    if args.mode == "auto":
+        payload["pruned"] = [
+            _statement_json(p.statement, "ordered-local-pruned", p.implied_by) for p in pruned
+        ]
+    return 0, payload
 
 
-def _cmd_verify(args) -> int:
+def _text_analyze(p):
+    return map(_statement_text, p["statements"])
+
+
+def _cmd_verify(args) -> tuple[int, dict]:
     from . import implication, markov
 
     g = load_graph(args.graph)
@@ -164,32 +165,30 @@ def _cmd_verify(args) -> int:
     targets = [st for st in ordered if st not in in_basis]
     answers = implication.implies_each(universe, basis.statements, targets, axioms)
     found = dict(zip(targets, answers))
-    checked = [(st, st in in_basis, found.get(st, True)) for st in ordered]
-    all_derivable = all(ok for _, _, ok in checked)
-    if args.format == "json":
-        _print_json(
-            {
-                "ordering": list(basis.ordering),
-                "axioms": args.axioms,
-                "basis_size": len(basis.statements),
-                "ordered_size": len(ordered),
-                "checked": [
-                    dict(_statement_json(st), in_basis=inb, derivable=ok)
-                    for st, inb, ok in checked
-                ],
-                "all_derivable": all_derivable,
-            }
-        )
-    else:
-        for st, inb, ok in checked:
-            status = "in-basis" if inb else ("derivable" if ok else "NOT-DERIVABLE")
-            print(f"{st.render()} : {status}")
-        print(
-            f"{'all' if all_derivable else 'NOT all'} ordered-local statements "
-            f"follow from the {len(basis.statements)}-statement basis "
-            f"(axioms: {args.axioms})"
-        )
-    return 0 if all_derivable else 1
+    checked = [
+        dict(_statement_json(st), in_basis=st in in_basis, derivable=found.get(st, True))
+        for st in ordered
+    ]
+    all_derivable = all(d["derivable"] for d in checked)
+    payload = {
+        "ordering": list(basis.ordering),
+        "axioms": args.axioms,
+        "basis_size": len(basis.statements),
+        "ordered_size": len(ordered),
+        "checked": checked,
+        "all_derivable": all_derivable,
+    }
+    return (0 if all_derivable else 1), payload
+
+
+def _text_verify(p):
+    for d in p["checked"]:
+        status = "derivable" if d["derivable"] else "NOT-DERIVABLE"
+        yield f"{_statement_text(d)} : {'in-basis' if d['in_basis'] else status}"
+    yield (
+        f"{'all' if p['all_derivable'] else 'NOT all'} ordered-local statements "
+        f"follow from the {p['basis_size']}-statement basis (axioms: {p['axioms']})"
+    )
 
 
 def _plan_for(g: Admg, mode: str, ordering):
@@ -199,81 +198,62 @@ def _plan_for(g: Admg, mode: str, ordering):
     return markov.test_plan(statements)
 
 
-def _cmd_sem_tests(args) -> int:
+def _cmd_sem_tests(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
-    ordering = _ordering_arg(g, args.order)
-    plan = _plan_for(g, args.mode, ordering)
-    if args.format == "json":
-        _print_json(
-            {
-                "mode": args.mode,
-                "tests": [
-                    {"x": t.x, "y": t.y, "given": sorted(t.given)} for t in plan
-                ],
-            }
-        )
-    else:
-        for t in plan:
-            print(t.render())
-    return 0
+    plan = _plan_for(g, args.mode, _ordering_arg(g, args.order))
+    return 0, {"mode": args.mode, "tests": [_test_json(t) for t in plan]}
 
 
-def _cmd_simulate(args) -> int:
+def _text_sem_tests(p):
+    return map(_test_text, p["tests"])
+
+
+def _cmd_simulate(args) -> tuple[int, dict]:
     from . import sem
 
     g = load_graph(args.graph)
     params = sem.random_parameters(g, args.seed)
     table = sem.simulate(g, params, args.n, args.seed)
     table.to_csv(args.out)
-    if args.format == "json":
-        _print_json({"out": args.out, "rows": table.n, "columns": list(table.variables)})
-    else:
-        print(f"wrote {table.n} rows x {len(table.variables)} columns to {args.out}")
-    return 0
+    return 0, {"out": args.out, "rows": table.n, "columns": list(table.variables)}
 
 
-def _cmd_sem_check(args) -> int:
+def _text_simulate(p):
+    yield f"wrote {p['rows']} rows x {len(p['columns'])} columns to {p['out']}"
+
+
+def _cmd_sem_check(args) -> tuple[int, dict]:
     from . import sem
 
     g = load_graph(args.graph)
     data = sem.DataTable.from_csv(args.data)
-    ordering = _ordering_arg(g, args.order)
-    plan = _plan_for(g, args.mode, ordering)
+    plan = _plan_for(g, args.mode, _ordering_arg(g, args.order))
     report = sem.run_tests(data, plan, alpha=args.alpha, correction=args.correction)
-    if args.format == "json":
-        _print_json(
-            {
-                "alpha": report.alpha,
-                "correction": report.correction,
-                "method": report.method,
-                "n": report.n,
-                "tests": [
-                    {
-                        "x": r.test.x,
-                        "y": r.test.y,
-                        "given": sorted(r.test.given),
-                        "r": r.r,
-                        "z": r.z,
-                        "p": r.p,
-                        "reject": r.reject,
-                        "error": r.error,
-                    }
-                    for r in report.results
-                ],
-                "rejections": report.rejections,
-                "pass": report.passed,
-            }
-        )
-    else:
-        for r in report.results:
-            head = r.test.render()[:-4]  # strip the trailing " = 0"
-            if r.error:
-                print(f"{head}: error ({r.error})")
-            else:
-                verdict = "reject" if r.reject else "accept"
-                print(f"{head}: r={r.r:+.4f} z={r.z:+.3f} p={r.p:.4g} {verdict}")
-        print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    tests = [
+        dict(_test_json(r.test), r=r.r, z=r.z, p=r.p, reject=r.reject, error=r.error)
+        for r in report.results
+    ]
+    payload = {
+        "alpha": report.alpha,
+        "correction": report.correction,
+        "method": report.method,
+        "n": report.n,
+        "tests": tests,
+        "rejections": report.rejections,
+        "pass": report.passed,
+    }
+    return (0 if report.passed else 1), payload
+
+
+def _text_sem_check(p):
+    for t in p["tests"]:
+        head = _test_text(t)[:-4]  # strip the trailing " = 0"
+        if t["error"]:
+            yield f"{head}: error ({t['error']})"
+        else:
+            verdict = "reject" if t["reject"] else "accept"
+            yield f"{head}: r={t['r']:+.4f} z={t['z']:+.3f} p={t['p']:.4g} {verdict}"
+    yield "PASS" if p["pass"] else "FAIL"
 
 
 # --- parser -------------------------------------------------------------------
@@ -302,23 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", help="c-components and mixed-cycle status")
     add_common(p)
-    p.set_defaults(func=_cmd_components)
+    p.set_defaults(func=_cmd_components, view=_text_components)
 
     p = sub.add_parser("msep", help="decide m-separation for a query")
     add_common(p)
     p.add_argument("--x", required=True, help="comma-separated vertex set")
     p.add_argument("--y", required=True, help="comma-separated vertex set")
     p.add_argument("--given", default="", help="comma-separated conditioning set")
-    p.set_defaults(func=_cmd_msep)
+    p.set_defaults(func=_cmd_msep, view=_text_msep)
 
     p = sub.add_parser("order", help="construct the collapsed consistent ordering")
     add_common(p)
-    p.set_defaults(func=_cmd_order)
+    p.set_defaults(func=_cmd_order, view=_text_order)
 
     p = sub.add_parser("analyze", help="emit local Markov statements")
     add_common(p, order=True)
     p.add_argument("--mode", choices=("ordered", "reduced", "auto"), default="auto")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, view=_text_analyze)
 
     p = sub.add_parser(
         "verify", help="check the ordered-local statements against the pruned basis"
@@ -327,19 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--axioms", choices=("semigraphoid", "composition"), default="composition"
     )
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, view=_text_verify)
 
     p = sub.add_parser("sem-tests", help="list the vanishing-partial-correlation tests")
     add_common(p, order=True)
     p.add_argument("--mode", choices=("ordered", "reduced", "auto"), default="auto")
-    p.set_defaults(func=_cmd_sem_tests)
+    p.set_defaults(func=_cmd_sem_tests, view=_text_sem_tests)
 
     p = sub.add_parser("simulate", help="draw data from a random parameterization")
     add_common(p)
     p.add_argument("--n", type=int, default=1000, help="number of observations")
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="random seed, at least 0")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, view=_text_simulate)
 
     p = sub.add_parser("sem-check", help="run the test plan against a CSV data file")
     add_common(p, order=True)
@@ -349,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--correction", choices=("bonferroni", "none"), default="bonferroni"
     )
-    p.set_defaults(func=_cmd_sem_check)
+    p.set_defaults(func=_cmd_sem_check, view=_text_sem_check)
 
     return parser
 
@@ -361,13 +341,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload = args.func(args)
     except (InputError, NumericError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    if args.format == "json":
+        import json
+
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in args.view(payload):
+            print(line)
+    return code
 
 
 def console_main() -> None:

@@ -19,10 +19,8 @@ FIXTURE_NAMES = ("figure1", "figure2", "figure3")
 def parse_graph(text: str) -> Admg:
     """Parse the graph text format into an :class:`Admg`."""
     vertices: set[str] = set()
-    directed: list[tuple[str, str]] = []
-    directed_seen: set[tuple[str, str]] = set()
-    bidirected: list[tuple[str, str]] = []
-    bidirected_seen: set[frozenset[str]] = set()
+    # per arrow, each edge in input order, keyed so that a duplicate is found
+    edges: dict[str, dict[tuple[str, str], tuple[str, str]]] = {"->": {}, "<->": {}}
 
     def name(token: str, lineno: int) -> str:
         token = token.strip()
@@ -36,35 +34,24 @@ def parse_graph(text: str) -> Admg:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "<->" in line:
-            parts = line.split("<->")
-            if len(parts) != 2:
-                raise GraphParseError("expected exactly one '<->' per line", lineno)
-            u, v = name(parts[0], lineno), name(parts[1], lineno)
-            if u == v:
-                raise GraphParseError(f"self-loop {u} <-> {v}", lineno)
-            edge = frozenset((u, v))
-            if edge in bidirected_seen:
-                raise GraphParseError(f"duplicate bi-directed edge {min(u,v)} <-> {max(u,v)}", lineno)
-            bidirected_seen.add(edge)
-            bidirected.append((u, v))
-            vertices |= {u, v}
-        elif "->" in line:
-            parts = line.split("->")
-            if len(parts) != 2:
-                raise GraphParseError("expected exactly one '->' per line", lineno)
-            t, h = name(parts[0], lineno), name(parts[1], lineno)
-            if t == h:
-                raise GraphParseError(f"self-loop {t} -> {h}", lineno)
-            if (t, h) in directed_seen:
-                raise GraphParseError(f"duplicate directed edge {t} -> {h}", lineno)
-            directed_seen.add((t, h))
-            directed.append((t, h))
-            vertices |= {t, h}
-        else:
+        arrow = "<->" if "<->" in line else "->" if "->" in line else None
+        if arrow is None:
             vertices.add(name(line, lineno))
+            continue
+        parts = line.split(arrow)
+        if len(parts) != 2:
+            raise GraphParseError(f"expected exactly one '{arrow}' per line", lineno)
+        u, v = name(parts[0], lineno), name(parts[1], lineno)
+        if u == v:
+            raise GraphParseError(f"self-loop {u} {arrow} {v}", lineno)
+        key = (u, v) if arrow == "->" else (min(u, v), max(u, v))
+        if key in edges[arrow]:
+            kind = "directed" if arrow == "->" else "bi-directed"
+            raise GraphParseError(f"duplicate {kind} edge {key[0]} {arrow} {key[1]}", lineno)
+        edges[arrow][key] = (u, v)
+        vertices |= {u, v}
 
-    return Admg(vertices, directed, bidirected)
+    return Admg(vertices, list(edges["->"].values()), list(edges["<->"].values()))
 
 
 def format_graph(g: Admg) -> str:

@@ -104,14 +104,15 @@ def _saturate(
     by_xu: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     union: dict[tuple[int, int], int] = {}
 
-    def push(x: int, z: int, y: int) -> bool:
-        """Add a triple; True once the last target is entailed."""
+    def push(x: int, z: int, y: int, match: bool = True) -> bool:
+        """Add a triple; True once the last target is entailed. With ``match``
+        off the triple is not matched against the targets."""
         w = word(x, z, y)
         if w in seen:
             return False
         seen.add(w)
         triples.append((x, z, y))
-        if wanted:
+        if wanted and match:
             wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
             if not wanted:
                 return True
@@ -134,14 +135,16 @@ def _saturate(
         x0, z0, y0 = queue.popleft()
         for x, y in ((x0, y0), (y0, x0)):
             z = z0
-            # decomposition and weak union, one member of y at a time
+            # decomposition and weak union, one member of y at a time; what
+            # they make is entailed by this statement, and entailment is
+            # transitive, so it entails no target this one did not
             if y & (y - 1):
                 rest = y
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    if push(x, z, y ^ b) or push(x, z | b, y ^ b):
-                        return triples, wanted
+                    push(x, z, y ^ b, False)
+                    push(x, z | b, y ^ b, False)
             # contraction, this statement as the first premise
             for w2 in tuple(by_xz.get((x, z | y), ())):
                 if push(x, z, y | w2):

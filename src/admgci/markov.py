@@ -294,22 +294,16 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
         if root in cyclic and linked(u, w):
             spouses[u].discard(w)
             spouses[w].discard(u)
-            # the component stays connected through u or w, ignoring directions
-            inside = {u, w}
-            todo = [u, w]
-            while todo:
-                n = todo.pop()
-                for m in chain(parents[n], children[n], spouses[n]):
-                    if m not in inside and component[m] == root:
-                        inside.add(m)
-                        todo.append(m)
+            # the component was strongly connected, and a shortest path from u
+            # never re-enters u, so every member is still reached from u or w
             cyclic.discard(root)
             split = _strong_components(
-                inside, lambda n: [m for m in chain(children[n], spouses[n]) if m in inside]
+                (u, w),
+                lambda n: [m for m in chain(children[n], spouses[n]) if component[m] == root],
             )
             component.update(split)
             cyclic.update(
-                split[t] for t in inside for h in children[t] if split.get(h) == split[t]
+                split[t] for t in split for h in children[t] if split.get(h) == split[t]
             )
             continue
 

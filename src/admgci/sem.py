@@ -19,7 +19,6 @@ import numpy as np
 
 from .admg import Admg, validate_ordering
 from .errors import GenerationError, InputError, NumericError, file_error
-from .markov import PartialCorrTest, test_plan  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)

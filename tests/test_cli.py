@@ -8,12 +8,26 @@ import numpy as np
 import pytest
 
 import expected
-from admgci import Admg, GraphParseError, format_graph, parse_graph
+from admgci import Admg, GraphParseError, format_graph, load_graph, parse_graph
 from admgci.cli import main
 from conftest import random_admg, random_sparse_admg
 from oracles import m_separated_latent_moral
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+
+# the full message of each parse error, line number included
+PARSE_ERRORS = {
+    "x -> x": "line 1: self-loop x -> x",
+    "x <-> x": "line 1: self-loop x <-> x",
+    "x -> y\nx -> y": "line 2: duplicate directed edge x -> y",
+    "x <-> y\ny <-> x": "line 2: duplicate bi-directed edge x <-> y",
+    "a <-> b\nb <-> a": "line 2: duplicate bi-directed edge a <-> b",
+    "x -> y -> z": "line 1: expected exactly one '->' per line",
+    "x <-> y <-> z": "line 1: expected exactly one '<->' per line",
+    "x ->": "line 1: invalid vertex name '' (letters, digits, underscore)",
+    "x y": "line 1: invalid vertex name 'x y' (letters, digits, underscore)",
+}
 
 
 def run(capsys, *argv):
@@ -65,7 +79,9 @@ class TestParsing:
             ("x <-> x", "self-loop"),
             ("x -> y\nx -> y", "duplicate directed"),
             ("x <-> y\ny <-> x", "duplicate bi-directed"),
+            ("a <-> b\nb <-> a", "duplicate bi-directed"),
             ("x -> y -> z", "exactly one"),
+            ("x <-> y <-> z", "exactly one"),
             ("x ->", "vertex name"),
             ("x y", "vertex name"),
         ],
@@ -73,7 +89,7 @@ class TestParsing:
     def test_parse_errors_have_line_numbers(self, text, match):
         with pytest.raises(GraphParseError, match=match) as info:
             parse_graph(text)
-        assert "line" in str(info.value)
+        assert str(info.value) == PARSE_ERRORS[text]
 
     def test_directed_cycle_is_a_distinct_error(self):
         with pytest.raises(Exception, match="cycle"):
@@ -397,6 +413,13 @@ def test_graph_only_subcommands_never_import_numpy():
     assert report["dir"] == [] and report["star"] == []
 
 
+def test_simulate_loads_no_statement_modules(tmp_path):
+    out = str(tmp_path / "data.csv")
+    report = module_report(["simulate", "figure2", "--n", "20", "--out", out])
+    assert report["code"] == 0
+    assert report["admgci"] == sorted(CORE + ["admgci.sem"])
+
+
 def test_graph_file_subcommand_loads_no_annotation_or_resource_modules(tmp_path):
     # without site (whose .pth files may preload them), a graph file in text
     # format needs neither typing, pathlib, importlib.resources nor json
@@ -554,3 +577,89 @@ class TestSemPipeline:
             assert (t["error"] is not None) == touches
             assert (t["r"] is None) == touches
         assert any(t["error"] for t in payload["tests"])
+
+
+# --- the text output holds nothing the JSON output lacks ---------------------
+
+
+def braces(names) -> str:
+    return "{" + ",".join(names) + "}"
+
+
+def rho(t) -> str:
+    given = f" | {','.join(t['given'])}" if t["given"] else ""
+    return f"rho({t['x']},{t['y']}{given})"
+
+
+def text_of(command: str, p: dict) -> list[str]:
+    """The text output of ``command``, written from its JSON payload alone."""
+    statement = lambda d: f"I({braces(d['x'])} ; {braces(d['given'])} ; {braces(d['indep'])})"
+    if command == "components":
+        return [
+            "c-components: " + " ".join(braces(c) for c in p["components"]),
+            "mixed-directed-cycle: " + ("yes" if p["mixed_directed_cycle"] else "no"),
+        ]
+    if command == "msep":
+        return ["separated" if p["separated"] else "connected"]
+    if command == "order":
+        return [",".join(p["ordering"])]
+    if command == "analyze":
+        return [statement(d) for d in p["statements"]]
+    if command == "verify":
+        status = lambda d: "in-basis" if d["in_basis"] else (
+            "derivable" if d["derivable"] else "NOT-DERIVABLE"
+        )
+        summary = (
+            f"{'all' if p['all_derivable'] else 'NOT all'} ordered-local statements follow "
+            f"from the {p['basis_size']}-statement basis (axioms: {p['axioms']})"
+        )
+        return [f"{statement(d)} : {status(d)}" for d in p["checked"]] + [summary]
+    if command == "sem-tests":
+        return [f"{rho(t)} = 0" for t in p["tests"]]
+    if command == "simulate":
+        return [f"wrote {p['rows']} rows x {len(p['columns'])} columns to {p['out']}"]
+    assert command == "sem-check"
+    lines = []
+    for t in p["tests"]:
+        if t["error"]:
+            lines.append(f"{rho(t)}: error ({t['error']})")
+        else:
+            verdict = "reject" if t["reject"] else "accept"
+            lines.append(f"{rho(t)}: r={t['r']:+.4f} z={t['z']:+.3f} p={t['p']:.4g} {verdict}")
+    return lines + ["PASS" if p["pass"] else "FAIL"]
+
+
+def test_text_output_is_rendered_from_the_json_payload(capsys, tmp_path):
+    rng = np.random.default_rng(15)
+    graphs = ["figure1", "figure2", "figure3"]
+    for i in range(100):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(format_graph(random_admg(rng, 2 + i % 7)))
+        graphs.append(str(path))
+    flat = tmp_path / "constant.csv"  # a constant column: per-test error lines
+    run(capsys, "simulate", "figure2", "--n", "50", "--out", str(flat))
+    lines = flat.read_text().splitlines()
+    flat.write_text("\n".join([lines[0]] + ["1," + r.split(",", 1)[1] for r in lines[1:]]))
+    runs = [["sem-check", "figure2", str(flat)]]
+    for k, graph in enumerate(graphs):
+        vs = load_graph(graph).vertices
+        runs += [["components", graph], ["order", graph]]
+        runs += [["msep", graph, "--x", vs[0], "--y", vs[-1], "--given", ",".join(vs[1:-1])]]
+        for mode in ("ordered", "reduced", "auto"):
+            runs += [["analyze", graph, "--mode", mode], ["sem-tests", graph, "--mode", mode]]
+        runs += [["verify", graph, "--axioms", axioms] for axioms in ("composition", "semigraphoid")]
+        if k % 10 == 0:
+            data = str(tmp_path / f"d{k}.csv")
+            runs += [["simulate", graph, "--n", "100", "--seed", str(k), "--out", data]]
+            runs += [["sem-check", graph, data, "--mode", mode] for mode in ("ordered", "auto")]
+    commands = set()
+    for argv in runs:
+        code, text, err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--format", "json")
+        assert (json_code, json_err) == (code, err), argv
+        if out:  # an error exits with no payload
+            assert text == "".join(line + "\n" for line in text_of(argv[0], json.loads(out))), argv
+            commands.add(argv[0])
+        else:
+            assert (text, code) == ("", 2) and "reduced" in argv, argv
+    assert len(commands) == 8
