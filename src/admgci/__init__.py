@@ -24,11 +24,10 @@ _MODULE_OF = {
         (
             "markov",
             "ORDERED_LOCAL REDUCED_FORM PartialCorrTest PrunedStatement ReducedBasis "
-            "build_collapsed_ordering markov_blanket maximal_ancestral_sets "
-            "ordered_local_entries ordered_local_markov reduced_basis reduced_form_applies "
-            "reduced_local_markov reduced_scope redundant_ancestral_set test_plan",
+            "build_collapsed_ordering maximal_ancestral_sets ordered_local_entries "
+            "ordered_local_markov reduced_basis reduced_local_markov test_plan",
         ),
-        ("msep", "connecting_paths m_separated m_separated_bruteforce"),
+        ("msep", "m_separated m_separated_bruteforce"),
         (
             "sem",
             "Covariance DataTable SemParameters TestReport TestResult implied_covariance "

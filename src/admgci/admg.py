@@ -35,8 +35,8 @@ def _check_name(name: str) -> str:
 
 
 def _pair(edge: Iterable[str], kind: str) -> tuple[str, str]:
-    pair = tuple(edge)
-    if len(pair) != 2:
+    pair = edge if isinstance(edge, str) else tuple(edge)
+    if isinstance(pair, str) or len(pair) != 2:
         raise InputError(f"{kind} edge {pair!r} is not a pair of vertex names")
     return pair
 

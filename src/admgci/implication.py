@@ -62,11 +62,6 @@ class StatementUniverse:
     def encode(self, st: CiStatement) -> tuple[int, int, int]:
         return self._mask(st.x), self._mask(st.z), self._mask(st.y)
 
-    def decode(self, masks: tuple[int, int, int]) -> CiStatement:
-        x, z, y = masks
-        names = lambda m: [self.vertices[i] for i in range(len(self.vertices)) if m >> i & 1]
-        return CiStatement(names(x), names(z), names(y))
-
     def word(self, x: int, z: int, y: int) -> int:
         """Symmetry-canonical key: ``min(x, y) << 2n | max(x, y) << n | z``."""
         n = len(self.vertices)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from .admg import MIXED_PATH_BUDGET, Admg, validate_ordering
@@ -78,23 +78,6 @@ def _blanket(g: Admg, x: str, d: frozenset[str]) -> frozenset[str]:
     """Markov blanket of ``x`` in an ancestral set whose district of ``x`` is
     ``d``: the set holds pa(d), so the blanket is pa(d) | d - {x}."""
     return frozenset(chain(d, *(g._parents[v] for v in d))) - {x}
-
-
-def markov_blanket(g: Admg, x: str, a: Collection[str]) -> frozenset[str]:
-    """Parents of ``x``'s district within the subgraph on ``a``, plus the
-    district itself minus ``x``.
-
-    ``a`` must be ancestral, contain ``x``, and give ``x`` no children in ``a``.
-    """
-    g._check_vertex(x)
-    a = g._check_set(a)
-    if x not in a:
-        raise InputError(f"{x} is not a member of the conditioning set")
-    if not g.is_ancestral(a):
-        raise InputError("markov_blanket requires an ancestral vertex set")
-    if not a.isdisjoint(g._children[x]):
-        raise InputError(f"{x} has children inside the given ancestral set")
-    return _blanket(g, x, _district_in(g, x, a))
 
 
 def maximal_ancestral_sets(g: Admg, x: str, ordering: Iterable[str]) -> list[frozenset[str]]:
@@ -192,27 +175,11 @@ def ordered_local_markov(g: Admg, ordering: Iterable[str]) -> list[CiStatement]:
 # --- the reduced (one statement per vertex) property --------------------------
 
 
-def reduced_scope(g: Admg, x: str) -> frozenset[str]:
-    """Parents of ``x`` plus all descendants of ``x`` and its spouses.
-
-    The complement of this set is what the reduced-form statement declares
-    independent of ``x`` given its parents. Always contains ``x``.
-    """
-    g._check_vertex(x)
-    return frozenset().union(*_scope_parts(g, x))
-
-
-def _scope_parts(g: Admg, x: str) -> list:
-    """The parents of ``x`` and the cached descendant sets of ``x`` and of each
-    of its spouses, whose union is :func:`reduced_scope`."""
-    de = [g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x])]
-    return [g._parents[x], *de]
-
-
 def _reduced_statement(g: Admg, x: str, all_v: frozenset[str]) -> CiStatement | None:
-    """The reduced-form statement of ``x``, or ``None`` when its independence
+    """I(x ; all_v - pa(x) - de({x} | sp(x)) | pa(x)), or ``None`` when that
     side is empty; ``all_v`` is the vertex set of ``g``."""
-    indep = all_v.difference(*_scope_parts(g, x))
+    de = (g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x]))
+    indep = all_v.difference(g._parents[x], *de)
     return CiStatement((x,), g._parents[x], indep) if indep else None
 
 
@@ -344,17 +311,10 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
 # --- pruning conditions --------------------------------------------------------
 
 
-def reduced_form_applies(g: Admg, x: str, ordering: Iterable[str]) -> bool:
-    """True iff the single reduced-form statement for ``x`` subsumes all of its
-    ordered-local statements: the part of ``x``'s district preceding it must
-    be consecutive in the ordering and free of internal directed edges."""
-    order = validate_ordering(g, ordering)
-    g._check_vertex(x)
-    return _reduced_form_applies(g, x, {v: i for i, v in enumerate(order)})
-
-
 def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
-    """:func:`reduced_form_applies` given the positions of a validated ordering."""
+    """True iff the reduced-form statement of ``x`` subsumes its ordered-local
+    ones: the part of x's district up to x is consecutive in the validated
+    ordering (positions ``pos``) and holds no directed edge."""
     dp = frozenset(v for v in g._district[x] if pos[v] <= pos[x])
     positions = [pos[v] for v in dp]
     if max(positions) - min(positions) != len(positions) - 1:
@@ -362,27 +322,10 @@ def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
     return all(dp.isdisjoint(g._children[v]) for v in dp)
 
 
-def redundant_ancestral_set(
-    g: Admg, x: str, ordering: Iterable[str], a_prime: Collection[str]
-) -> bool:
-    """True iff the statement for the ancestral set ``a_prime`` is implied by
-    the statement for the full prefix of ``x`` (together with the statements
-    of earlier vertices), so it can be pruned from the basis."""
-    order = validate_ordering(g, ordering)
-    g._check_vertex(x)
-    a_prime = g._check_set(a_prime)
-    pre = frozenset(order[: order.index(x) + 1])
-    if x not in a_prime or not a_prime <= pre:
-        raise InputError("the candidate set must contain the vertex and lie in its prefix")
-    if not g.is_ancestral(a_prime):
-        raise InputError("the candidate set must be ancestral")
-    d = _district_in(g, x, a_prime)
-    return _prunable(g, _district_in(g, x, pre), a_prime, d, _blanket(g, x, d))
-
-
 def _prunable(g: Admg, dis_pre: frozenset, a: frozenset, d: frozenset, mb: frozenset) -> bool:
-    """:func:`redundant_ancestral_set` given x's district ``dis_pre`` in its
-    prefix, and ``d`` and ``mb``, x's district and blanket in ``a``."""
+    """True iff x's full-prefix statement (with earlier vertices' ones) implies
+    the one for the ancestral set ``a``: ``dis_pre`` is x's district in its
+    prefix, ``d`` and ``mb`` its district and blanket in ``a``."""
     dropped = dis_pre - d  # the members of x's prefix district that ``a`` cuts off
     return dropped.isdisjoint(a) and mb.issuperset(chain(*(g._parents[v] for v in dropped)))
 
@@ -395,10 +338,10 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
     closure under the composition-extended semi-graphoid axioms recovers the
     ordered local Markov property.
 
-    Works for any ADMG. Vertices satisfying :func:`reduced_form_applies`
-    contribute their single reduced-form statement; the rest fall back to the
-    ordered local statements, pruning every ancestral set that
-    :func:`redundant_ancestral_set` certifies as implied. Vacuous statements
+    Works for any ADMG. Vertices where ``_reduced_form_applies`` contribute
+    their single reduced-form statement; the rest fall back to the ordered
+    local statements, pruning every ancestral set that ``_prunable``
+    certifies as implied. Vacuous statements
     are dropped, duplicates collapse to their first occurrence, and pruned
     statements are recorded with the index of the statement implying them.
     """

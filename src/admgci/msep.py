@@ -161,15 +161,3 @@ def m_separated_bruteforce(
                     return False
     return True
 
-
-def connecting_paths(
-    g: Admg, x: str, y: str, z_set: Collection[str]
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """All m-connecting simple paths between two vertices (debugging aid)."""
-    xs, ys, z = _validate_query(g, [x], [y], z_set)
-    anc_z = g.ancestors(z)
-    return [
-        (path, marks)
-        for path, marks in _simple_mixed_paths(g, x, y)
-        if _m_connecting(path, marks, z, anc_z)
-    ]

@@ -4,7 +4,8 @@ These deliberately avoid the package's algorithms: d- and m-separation go
 through moralization, the topological order scans for the least ready
 vertex, mixed-directed-path and -cycle detection enumerate simple paths, the
 collapsed ordering re-sorts the edges and searches every pair, the
-reduced-form statements walk the edge sets breadth first, the maximal
+reduced-form statements walk the edge sets breadth first, the reduced-form
+condition is read off a district and the directed edge set, the maximal
 ancestral sets scan every subset of the ordering prefix, Markov blankets and
 the pruning rule are read off induced subgraphs, statements are keyed
 by sorted name tuples, the axiom closure applies one rule family at a time
@@ -26,8 +27,6 @@ from admgci import (
     CiStatement,
     InputError,
     maximal_ancestral_sets,
-    reduced_form_applies,
-    reduced_scope,
 )
 
 
@@ -259,10 +258,23 @@ def redundant_by_definition(g: Admg, x: str, ordering, a) -> bool:
     return dropped.isdisjoint(a) and g.parents(dropped) <= blanket_by_definition(g, x, a)
 
 
+def reduced_form_by_definition(g: Admg, x: str, ordering) -> bool:
+    """Whether the part of x's district up to x is consecutive in the
+    ordering and holds no directed edge, read off ``g.district`` and
+    ``g.directed_edges``."""
+    order = list(ordering)
+    upto = order[: order.index(x) + 1]
+    pos = [i for i, v in enumerate(upto) if v in g.district(x)]
+    part = {upto[i] for i in pos}
+    consecutive = pos == list(range(pos[0], pos[0] + len(pos)))
+    return consecutive and not any(t in part and h in part for t, h in g.directed_edges)
+
+
 def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[str], list]:
-    """The basis procedure one vertex at a time, through the public,
-    self-validating entry points and the definitions above: the reduced-form
-    statement where ``reduced_form_applies``, else every ordered-local
+    """The basis procedure one vertex at a time, from the definitions above
+    and the public ``Admg`` relations: where
+    :func:`reduced_form_by_definition` holds, x independent of everything
+    outside pa(x) | de(x) | de(sp(x)) given pa(x); else every ordered-local
     statement whose set :func:`redundant_by_definition` does not prune.
     Returns statements, provenance tags and (pruned statement, index of the
     implying statement) pairs."""
@@ -278,8 +290,9 @@ def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[
         return statements.index(stmt)
 
     for x in order:
-        if reduced_form_applies(g, x, order):
-            indep = frozenset(g.vertices) - reduced_scope(g, x)
+        if reduced_form_by_definition(g, x, order):
+            scope = g.parents([x]) | g.descendants({x} | g.spouses([x]))
+            indep = frozenset(g.vertices) - scope
             if indep:
                 emit(CiStatement([x], g.parents([x]), indep), REDUCED_FORM)
             continue

@@ -20,20 +20,18 @@ from admgci import (
     implied_covariance,
     m_separated,
     m_separated_bruteforce,
-    markov_blanket,
     ordered_local_entries,
     ordered_local_markov,
     partial_correlation,
     random_parameters,
     reduced_basis,
     reduced_local_markov,
-    redundant_ancestral_set,
     run_tests,
     simulate,
     test_plan as build_test_plan,
 )
 from admgci.cli import main
-from admgci.markov import _district_in
+from admgci.markov import _blanket, _district_in, _prunable
 from conftest import (
     random_admg,
     random_bidirected_graph,
@@ -108,15 +106,17 @@ def test_criterion_04_figure3_procedure(capsys, figure3):
     # precondition: the reconstructed fixture reproduces the quoted intermediates
     assert figure3.ancestors(["a", "c"]) == {"a", "f", "h", "c", "g", "i", "e"}
     assert figure3.ancestors(["d", "c"]) == {"h", "f", "i", "g", "b", "e", "d", "c"}
-    assert markov_blanket(figure3, "c", figure3.ancestors(["a", "c"])) == {"g", "e"}
-    assert markov_blanket(figure3, "c", figure3.ancestors(["d", "c"])) == {"b", "g", "e", "f"}
-    full = frozenset(figure3.vertices)
+    full = frozenset(figure3.vertices)  # the prefix of c, the last vertex
     a_dc = figure3.ancestors(["d", "c"])
     a_ca = figure3.ancestors(["c", "a"])
-    assert _district_in(figure3, "c", full) - _district_in(figure3, "c", a_dc) == {"a"}
+    d_dc, d_ca = _district_in(figure3, "c", a_dc), _district_in(figure3, "c", a_ca)
+    assert _blanket(figure3, "c", d_ca) == {"g", "e"}
+    assert _blanket(figure3, "c", d_dc) == {"b", "g", "e", "f"}
+    dis_pre = _district_in(figure3, "c", full)
+    assert dis_pre - d_dc == {"a"}
     assert figure3.parents({"a"}) == {"f"}
-    assert redundant_ancestral_set(figure3, "c", expected.FIGURE3_ORDERING, a_dc)
-    assert not redundant_ancestral_set(figure3, "c", expected.FIGURE3_ORDERING, a_ca)
+    assert _prunable(figure3, dis_pre, a_dc, d_dc, _blanket(figure3, "c", d_dc))
+    assert not _prunable(figure3, dis_pre, a_ca, d_ca, _blanket(figure3, "c", d_ca))
 
     code, out = _run_cli(capsys, "analyze", "figure3", "--mode", "auto")
     assert code == 0

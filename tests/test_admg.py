@@ -46,6 +46,9 @@ class TestConstruction:
             ("bidirected", [("a", "b", "c")], "bi-directed edge ('a', 'b', 'c')"),
             ("directed", [("a", "b", "c")], "directed edge ('a', 'b', 'c')"),
             ("directed", [()], "directed edge ()"),
+            # a string is not read as a sequence of one-character names
+            ("directed", ["ab"], "directed edge 'ab'"),
+            ("bidirected", ["bc"], "bi-directed edge 'bc'"),
         ],
     )
     def test_edges_that_are_not_pairs_rejected(self, kind, edges, shown):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from admgci import Admg, m_separated, maximal_ancestral_sets, reduced_basis, reduced_scope
+from admgci import Admg, m_separated, maximal_ancestral_sets, reduced_basis
+from admgci.markov import _reduced_statement
 from conftest import random_admg, random_sparse_admg
 
 
@@ -53,7 +54,7 @@ def test_cold_graph_first_queries_from_eight_threads():
     sequential = [m_separated(template, *q) for q in queries]
     assert 0 < sum(sequential) < len(queries)
     probes = list(template.vertices[::7])
-    scopes = [reduced_scope(template, v) for v in probes]
+    reduced = [_reduced_statement(template, v, template._vset) for v in probes]
     ancestors = [template.ancestors([v]) for v in probes]
 
     def worker(shift):
@@ -61,11 +62,11 @@ def test_cold_graph_first_queries_from_eight_threads():
         order = queries[shift:] + queries[:shift]
         answers = [m_separated(cold, *q) for q in order]
         turn = probes[shift:] + probes[:shift]
-        got_scopes = {v: reduced_scope(cold, v) for v in turn}
+        got_reduced = {v: _reduced_statement(cold, v, cold._vset) for v in turn}
         got_ancestors = {v: cold.ancestors([v]) for v in reversed(turn)}
         return (
             answers[len(queries) - shift :] + answers[: len(queries) - shift],
-            [got_scopes[v] for v in probes],
+            [got_reduced[v] for v in probes],
             [got_ancestors[v] for v in probes],
         )
 
@@ -76,9 +77,9 @@ def test_cold_graph_first_queries_from_eight_threads():
             cold = Admg(template.vertices, template.directed_edges, template.bidirected_edges)
             barrier = threading.Barrier(8, timeout=60)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                for answers, got_scopes, got_ancestors in pool.map(worker, range(0, 40, 5)):
+                for answers, got_reduced, got_ancestors in pool.map(worker, range(0, 40, 5)):
                     assert answers == sequential
-                    assert got_scopes == scopes
+                    assert got_reduced == reduced
                     assert got_ancestors == ancestors
     finally:
         sys.setswitchinterval(interval)

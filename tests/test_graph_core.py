@@ -11,12 +11,10 @@ from admgci import (
     REDUCED_FORM,
     Admg,
     CapacityError,
-    InputError,
     build_collapsed_ordering,
     format_graph,
     reduced_basis,
     reduced_local_markov,
-    reduced_scope,
     validate_ordering,
 )
 from admgci.admg import MIXED_PATH_BUDGET
@@ -128,11 +126,6 @@ class TestReducedStatementsAtScale:
         assert set(basis.provenance) == {REDUCED_FORM} and not basis.pruned
         assert sides(basis.statements) == sides(reduced_statements_by_bfs(g, basis.ordering))
         assert sides(reduced_local_markov(g)) == sides(reduced_statements_by_bfs(g, g.vertices))
-
-    def test_scope_still_checks_its_vertex(self):
-        g = district_chain_admg(np.random.default_rng(5), 200)
-        with pytest.raises(InputError, match="unknown vertex 'nope'"):
-            reduced_scope(g, "nope")
 
 
 def long_chain_with_bow() -> Admg:

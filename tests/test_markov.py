@@ -12,24 +12,29 @@ from admgci import (
     build_collapsed_ordering,
     closure,
     m_separated,
-    markov_blanket,
     maximal_ancestral_sets,
     ordered_local_entries,
     ordered_local_markov,
     reduced_basis,
-    reduced_form_applies,
     reduced_local_markov,
-    reduced_scope,
-    redundant_ancestral_set,
     validate_ordering,
 )
 from admgci import markov
-from admgci.markov import ORDERED_LOCAL, REDUCED_FORM, _district_in
+from admgci.markov import (
+    ORDERED_LOCAL,
+    REDUCED_FORM,
+    _blanket,
+    _district_in,
+    _prunable,
+    _reduced_form_applies,
+    _reduced_statement,
+)
 from conftest import random_admg, random_bidirected_graph, random_cycle_free_admg, random_dag
 from oracles import (
     all_subsets,
     blanket_by_definition,
     maximal_ancestral_sets_by_scan,
+    reduced_form_by_definition,
     redundant_by_definition,
 )
 
@@ -46,26 +51,34 @@ def _random_consistent_order(rng: np.random.Generator, g: Admg) -> list[str]:
     return order
 
 
+def blanket(g: Admg, x: str, a) -> frozenset[str]:
+    """x's Markov blanket in the ancestral set ``a``, as the basis reads it."""
+    return _blanket(g, x, _district_in(g, x, frozenset(a)))
+
+
+def prunable(g: Admg, x: str, order, a) -> bool:
+    """The basis's pruning rule for the ancestral set ``a`` of ``x``."""
+    a, pre = frozenset(a), frozenset(order[: list(order).index(x) + 1])
+    d = _district_in(g, x, a)
+    return _prunable(g, _district_in(g, x, pre), a, d, _blanket(g, x, d))
+
+
+def positions(order) -> dict[str, int]:
+    return {v: i for i, v in enumerate(order)}
+
+
 class TestMarkovBlanket:
     def test_figure2(self, figure2):
         a = figure2.ancestors(["a", "c"])
-        assert markov_blanket(figure2, "a", a) == {"d", "c"}
+        assert blanket(figure2, "a", a) == {"d", "c"}
 
     def test_figure3(self, figure3):
         a = figure3.ancestors(["a", "c"])
-        assert markov_blanket(figure3, "c", a) == {"g", "e"}
+        assert blanket(figure3, "c", a) == {"g", "e"}
 
     def test_isolated_vertex(self):
         g = Admg(["x"])
-        assert markov_blanket(g, "x", ["x"]) == frozenset()
-
-    def test_precondition_errors(self, figure2):
-        with pytest.raises(InputError, match="ancestral"):
-            markov_blanket(figure2, "a", ["a"])
-        with pytest.raises(InputError, match="member"):
-            markov_blanket(figure2, "a", ["d", "e"])
-        with pytest.raises(InputError, match="children"):
-            markov_blanket(figure2, "d", ["a", "d", "e"])
+        assert blanket(g, "x", ["x"]) == frozenset()
 
     def test_matches_the_definition_on_random_graphs(self):
         # every ancestral set and every member without children in it
@@ -79,7 +92,7 @@ class TestMarkovBlanket:
                     continue
                 for x in sorted(a):
                     if a.isdisjoint(g.children([x])):
-                        assert markov_blanket(g, x, a) == blanket_by_definition(g, x, a), (
+                        assert blanket(g, x, a) == blanket_by_definition(g, x, a), (
                             repr(g), x, sorted(a)
                         )
                         checked += 1
@@ -89,7 +102,7 @@ class TestMarkovBlanket:
 class TestMaximalAncestralSets:
     def test_figure2_vertex_c(self, figure2):
         sets = maximal_ancestral_sets(figure2, "c", expected.FIGURE2_ORDERING)
-        blankets = [markov_blanket(figure2, "c", s) for s in sets]
+        blankets = [blanket(figure2, "c", s) for s in sets]
         assert blankets == [
             {"a", "b", "d"},
             {"a", "d"},
@@ -162,13 +175,13 @@ class TestMaximalAncestralSets:
             for x in order:
                 pre = frozenset(order[: order.index(x) + 1])
                 sets = maximal_ancestral_sets(g, x, order)
-                blankets = [markov_blanket(g, x, s) for s in sets]
+                blankets = [blanket(g, x, s) for s in sets]
                 assert len(set(blankets)) == len(blankets)
                 for s, mb in zip(sets, blankets):
                     for v in sorted(pre - s):
                         grown = g.ancestors(s | {v})
                         if grown <= pre:
-                            assert markov_blanket(g, x, grown) != mb, (repr(g), x, v)
+                            assert blanket(g, x, grown) != mb, (repr(g), x, v)
 
 
 class TestFigure3Reconstruction:
@@ -182,9 +195,9 @@ class TestFigure3Reconstruction:
         assert figure3.ancestors(["a", "d", "c"]) == frozenset(figure3.vertices)
 
     def test_blankets(self, figure3):
-        assert markov_blanket(figure3, "c", figure3.ancestors(["a", "c"])) == {"g", "e"}
-        assert markov_blanket(figure3, "c", figure3.ancestors(["d", "c"])) == {"b", "g", "e", "f"}
-        assert markov_blanket(figure3, "c", frozenset(figure3.vertices)) == {
+        assert blanket(figure3, "c", figure3.ancestors(["a", "c"])) == {"g", "e"}
+        assert blanket(figure3, "c", figure3.ancestors(["d", "c"])) == {"b", "g", "e", "f"}
+        assert blanket(figure3, "c", frozenset(figure3.vertices)) == {
             "a", "b", "g", "e", "f",
         }
 
@@ -213,10 +226,10 @@ class TestFigure3Reconstruction:
         order = expected.FIGURE3_ORDERING
         pre_b = frozenset(order[: order.index("b") + 1])
         assert figure3.district("b") & pre_b == {"a", "b"}
-        assert reduced_form_applies(figure3, "b", order)
+        assert _reduced_form_applies(figure3, "b", positions(order))
 
     def test_vertex_c_fails_the_consecutive_condition(self, figure3):
-        assert not reduced_form_applies(figure3, "c", expected.FIGURE3_ORDERING)
+        assert not _reduced_form_applies(figure3, "c", positions(expected.FIGURE3_ORDERING))
 
     def test_pruning_decisions_for_c(self, figure3):
         order = expected.FIGURE3_ORDERING
@@ -228,9 +241,9 @@ class TestFigure3Reconstruction:
         assert _district_in(figure3, "c", a_dc) == {"b", "c"}
         assert _district_in(figure3, "c", a_ca) == {"c"}
         assert figure3.parents({"a"}) == {"f"}
-        assert figure3.parents({"a"}) <= markov_blanket(figure3, "c", a_dc)
-        assert redundant_ancestral_set(figure3, "c", order, a_dc)
-        assert not redundant_ancestral_set(figure3, "c", order, a_ca)
+        assert figure3.parents({"a"}) <= blanket(figure3, "c", a_dc)
+        assert prunable(figure3, "c", order, a_dc)
+        assert not prunable(figure3, "c", order, a_ca)
 
 
 class TestOrderedLocal:
@@ -262,17 +275,25 @@ class TestOrderedLocal:
 
 
 class TestReducedLocal:
+    # the reduced scope pa(x) | de(x) | de(sp(x)) is what a reduced-form
+    # statement leaves out of its independence side
+
     def test_reduced_scope_figure2(self, figure2):
-        assert reduced_scope(figure2, "a") == {"d", "a", "b", "c"}
+        vs = frozenset(figure2.vertices)  # the scope of a is {a, b, c, d}
+        assert _reduced_statement(figure2, "a", vs) == CiStatement(["a"], ["d"], ["e"])
 
     def test_reduced_scope_dag_vertex(self):
-        g = Admg(["x", "y", "z"], [("x", "y"), ("y", "z")])
-        assert reduced_scope(g, "y") == g.parents(["y"]) | g.descendants(["y"])
+        g = Admg(["w", "x", "y", "z"], [("x", "y"), ("y", "z")])
+        vs = frozenset(g.vertices)
+        rest = vs - g.parents(["y"]) - g.descendants(["y"])
+        assert _reduced_statement(g, "y", vs) == CiStatement(["y"], ["x"], rest)
+        assert rest == {"w"}
 
     def test_reduced_scope_pure_bidirected(self):
         g = Admg(["x", "y", "z"], bidirected=[("x", "y"), ("y", "z")])
-        assert reduced_scope(g, "y") == {"x", "y", "z"}
-        assert reduced_scope(g, "x") == {"x", "y"}
+        vs = frozenset(g.vertices)
+        assert _reduced_statement(g, "y", vs) is None  # the scope is {x, y, z}
+        assert _reduced_statement(g, "x", vs) == CiStatement(["x"], [], ["z"])
 
     def test_figure2_matches_three_statement_list(self, figure2):
         assert reduced_local_markov(figure2) == expected.FIGURE2_REDUCED
@@ -351,7 +372,7 @@ class TestPruningConditions:
         for _ in range(20):
             g = random_admg(rng, int(rng.integers(2, 7)))
             order = build_collapsed_ordering(g)
-            assert reduced_form_applies(g, order[0], order)
+            assert _reduced_form_applies(g, order[0], positions(order))
 
     def test_reducible_vertex_statement_is_m_separation(self):
         rng = np.random.default_rng(28)
@@ -360,15 +381,27 @@ class TestPruningConditions:
             order = build_collapsed_ordering(g)
             vs = frozenset(g.vertices)
             for x in order:
-                if reduced_form_applies(g, x, order):
-                    indep = vs - reduced_scope(g, x)
-                    if indep:
-                        assert m_separated(g, [x], indep, g.parents([x])), (repr(g), x)
+                if _reduced_form_applies(g, x, positions(order)):
+                    stmt = _reduced_statement(g, x, vs)
+                    if stmt is not None:
+                        assert m_separated(g, [x], stmt.y, stmt.z), (repr(g), x)
+
+    def test_reduced_form_matches_the_definition_on_random_graphs(self):
+        rng = np.random.default_rng(46)
+        answers = {True: 0, False: 0}
+        for _ in range(300):
+            g = random_admg(rng, int(rng.integers(2, 9)))
+            order = _random_consistent_order(rng, g)
+            for x in order:
+                got = _reduced_form_applies(g, x, positions(order))
+                assert got == reduced_form_by_definition(g, x, order), (repr(g), order, x)
+                answers[got] += 1
+        assert min(answers.values()) > 200, answers
 
     def test_full_prefix_is_trivially_redundant_free(self, figure3):
         order = expected.FIGURE3_ORDERING
         pre = frozenset(order)
-        assert redundant_ancestral_set(figure3, "c", order, pre)
+        assert prunable(figure3, "c", order, pre)
 
     def test_matches_the_definition_on_random_graphs(self):
         # every ancestral set inside each vertex's prefix that holds the vertex
@@ -381,19 +414,13 @@ class TestPruningConditions:
                 for subset in all_subsets(order[:i]):
                     a = frozenset(subset) | {x}
                     if g.is_ancestral(a):
-                        got = redundant_ancestral_set(g, x, order, a)
+                        got = prunable(g, x, order, a)
                         assert got == redundant_by_definition(g, x, order, a), (
                             repr(g), order, x, sorted(a)
                         )
                         answers[got] += 1
         assert min(answers.values()) > 200, answers
 
-    def test_redundant_set_validation(self, figure3):
-        order = expected.FIGURE3_ORDERING
-        with pytest.raises(InputError, match="ancestral"):
-            redundant_ancestral_set(figure3, "c", order, {"c", "g"})
-        with pytest.raises(InputError, match="contain the vertex"):
-            redundant_ancestral_set(figure3, "c", order, figure3.ancestors(["g"]))
 
 
 class TestReducedBasis:

@@ -7,10 +7,10 @@ from admgci import (
     Admg,
     CapacityError,
     InputError,
-    connecting_paths,
     m_separated,
     m_separated_bruteforce,
 )
+from admgci.msep import _m_connecting, _simple_mixed_paths
 from conftest import random_admg, random_dag, random_sparse_admg
 from oracles import all_subsets, d_separated_moral, m_separated_latent_moral
 
@@ -48,10 +48,14 @@ class TestExamples:
         with pytest.raises(InputError, match="unknown"):
             m_separated(figure2, ["zz"], ["a"], [])
 
-    def test_connecting_paths_debugging_aid(self, figure2):
-        paths = connecting_paths(figure2, "a", "b", ["d"])
+    def test_bruteforce_paths_and_connecting_rule(self, figure2):
+        z = frozenset({"d"})
+        anc_z = figure2.ancestors(z)
+        paths = list(_simple_mixed_paths(figure2, "a", "b"))
         assert (("a", "b"), ("=",)) in paths
-        assert connecting_paths(figure2, "a", "e", ["d"]) == []
+        assert _m_connecting(("a", "b"), ("=",), z, anc_z)
+        paths = list(_simple_mixed_paths(figure2, "a", "e"))
+        assert paths and not any(_m_connecting(p, m, z, anc_z) for p, m in paths)
 
 
 class TestProperties:

@@ -1,0 +1,74 @@
+"""The package's public names: the ones the benchmark reads or wraps still
+resolve, and the test-only wrappers stay gone."""
+
+import pytest
+
+import admgci
+from admgci import admg, graphio, implication, markov, msep, sem
+
+# removed with their replacements: see the README's "Library entry points"
+REMOVED = [
+    (markov, "markov_blanket"),
+    (markov, "reduced_scope"),
+    (markov, "reduced_form_applies"),
+    (markov, "redundant_ancestral_set"),
+    (msep, "connecting_paths"),
+]
+
+# read through the package by perfbench/workloads.py and perfbench/test_reference.py
+BENCHMARK_NAMES = [
+    "Admg",
+    "m_separated",
+    "m_separated_bruteforce",
+    "reduced_basis",
+    "reduced_local_markov",
+    "REDUCED_FORM",
+    "ordered_local_markov",
+    "closure",
+    "StatementUniverse",
+    "WITH_COMPOSITION",
+    "CiStatement",
+    "DataTable",
+    "sample_partial_correlation",
+]
+
+# replaced by name in its module or class by perfbench/tracing.py::install
+TRACED = [
+    (graphio, "parse_graph"),
+    (admg, "validate_ordering"),
+    (msep, "m_separated"),
+    (markov, "build_collapsed_ordering"),
+    (markov, "reduced_basis"),
+    (markov, "maximal_ancestral_sets"),
+    (markov, "ordered_local_markov"),
+    (implication, "closure"),
+    (sem, "run_tests"),
+    (admg.Admg, "__init__"),
+    (admg.Admg, "has_mixed_directed_cycle"),
+    (sem.DataTable, "from_csv"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED, ids=[name for _, name in REMOVED])
+def test_removed_names_are_gone(module, name):
+    assert name not in admgci.__all__
+    with pytest.raises(AttributeError):
+        getattr(admgci, name)
+    assert not hasattr(module, name)
+
+
+def test_statement_universe_has_no_decode():
+    assert not hasattr(implication.StatementUniverse, "decode")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_names_the_benchmark_reads_resolve(name):
+    assert name in admgci.__all__
+    assert getattr(admgci, name) is not None
+
+
+@pytest.mark.parametrize(
+    "owner, attr", TRACED, ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in TRACED]
+)
+def test_names_the_benchmark_traces_resolve(owner, attr):
+    assert callable(getattr(owner, attr))
