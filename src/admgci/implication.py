@@ -2,15 +2,19 @@
 
 A statement over n vertices is three bitmasks (x, z, y), keyed by the integer
 ``min(x, y) << 2n | max(x, y) << n | z`` so that a statement and its x/y swap
-share one key (symmetry). Closure is a worklist fixpoint. Decomposition and
-weak union move one member b of y at a time, to (x, z, y∖b) and (x, z∪b, y∖b);
-any general step is a chain of these. Contraction scans the statements whose
-sides match. Composition, when enabled, adds (x, z, U) for the union U of
-every y seen with (x, z): a chain of composition steps, and complete, since
-decomposition of U then yields y1 ∪ y2 for any two such y. Membership in the
-closure decides implication; this is derivability under the stated axioms,
-not general probabilistic implication. ``implies`` stops as soon as one
-statement found yields the target by symmetry, decomposition and weak union.
+share one key (symmetry); a repeated statement costs one set lookup and no
+call. Closure is a semi-naive worklist fixpoint. Decomposition and weak union
+move one member b of y at a time, to (x, z, y∖b) and (x, z∪b, y∖b); any
+general step is a chain of these. A statement joins the contraction indexes
+when it is popped, after being joined with every statement popped before it:
+each pair of premises meets once, when the later of the two is popped, and
+no pair of popped statements is missed. Composition, when enabled, adds
+(x, z, U) for the union U of every y seen with (x, z): a chain of composition
+steps, and complete, since decomposition of U then yields y1 ∪ y2 for any two
+such y. Membership in the closure decides implication; this is derivability
+under the stated axioms, not general probabilistic implication. ``implies``
+stops as soon as one statement found yields the target by symmetry,
+decomposition and weak union.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class StatementUniverse:
 
     def __init__(self, vertices: Iterable[str]):
         self.vertices = tuple(sorted(set(vertices)))
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
 
     @property
     def slots(self) -> int:
@@ -51,21 +55,17 @@ class StatementUniverse:
         return 4 ** len(self.vertices)
 
     def _mask(self, names: frozenset[str]) -> int:
+        bit = self._bit
         m = 0
-        for v in names:
-            i = self._index.get(v)
-            if i is None:
-                raise InputError(f"vertex {v!r} is outside the statement universe")
-            m |= 1 << i
+        try:
+            for v in names:
+                m |= bit[v]
+        except KeyError as e:
+            raise InputError(f"vertex {e.args[0]!r} is outside the statement universe") from None
         return m
 
     def encode(self, st: CiStatement) -> tuple[int, int, int]:
         return self._mask(st.x), self._mask(st.z), self._mask(st.y)
-
-    def word(self, x: int, z: int, y: int) -> int:
-        """Symmetry-canonical key: ``min(x, y) << 2n | max(x, y) << n | z``."""
-        n = len(self.vertices)
-        return ((x << n | y) if x < y else (y << n | x)) << n | z
 
 
 def _entails(sx: int, sz: int, sy: int, tx: int, tz: int, ty: int) -> bool:
@@ -90,21 +90,19 @@ def _saturate(
     target. Returns the canonical triples and the targets not entailed.
     Raises :class:`CapacityError` once more than ``CLOSURE_BUDGET`` triples
     are found."""
-    word = universe.word
+    n = len(universe.vertices)
     wanted = set(targets)
     seen: set[int] = set()
     triples: list[tuple[int, int, int]] = []
     queue: deque[tuple[int, int, int]] = deque()
-    by_xz: dict[tuple[int, int], list[int]] = defaultdict(list)
-    by_xu: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    union: dict[tuple[int, int], int] = {}
+    # popped statements, both orientations, keyed by x << n | z and x << n | z∪y
+    by_xz: dict[int, list[int]] = defaultdict(list)
+    by_xu: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    union: dict[int, int] = {}
 
-    def push(x: int, z: int, y: int, match: bool = True) -> bool:
-        """Add a triple; True once the last target is entailed. With ``match``
-        off the triple is not matched against the targets."""
-        w = word(x, z, y)
-        if w in seen:
-            return False
+    def add(w: int, x: int, z: int, y: int, match: bool = True) -> bool:
+        """Add a triple of unseen key ``w``; True once the last target is
+        entailed. With ``match`` off it is not matched against the targets."""
         seen.add(w)
         triples.append((x, z, y))
         if wanted and match:
@@ -113,23 +111,22 @@ def _saturate(
                 return True
         if len(triples) > CLOSURE_BUDGET:
             raise CapacityError(
-                f"the closure over {len(universe.vertices)} vertices found "
+                f"the closure over {n} vertices found "
                 f"{len(triples)} statements, over its budget of {CLOSURE_BUDGET}"
             )
         queue.append((x, z, y))
-        for a, b in ((x, y), (y, x)):
-            by_xz[(a, z)].append(b)
-            by_xu[(a, z | b)].append((z, b))
         return False
 
     for st in seed:
-        if push(*universe.encode(st)):
+        x, z, y = universe.encode(st)
+        w = ((x << n | y) if x < y else (y << n | x)) << n | z
+        if w not in seen and add(w, x, z, y):
             return triples, wanted
 
     while queue:
-        x0, z0, y0 = queue.popleft()
+        x0, z, y0 = queue.popleft()
         for x, y in ((x0, y0), (y0, x0)):
-            z = z0
+            xz = x << n | z
             # decomposition and weak union, one member of y at a time; what
             # they make is entailed by this statement, and entailment is
             # transitive, so it entails no target this one did not
@@ -138,23 +135,34 @@ def _saturate(
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    push(x, z, y ^ b, False)
-                    push(x, z | b, y ^ b, False)
-            # contraction, this statement as the first premise
-            for w2 in tuple(by_xz.get((x, z | y), ())):
-                if push(x, z, y | w2):
+                    v = y ^ b
+                    w = ((x << n | v) if x < v else (v << n | x)) << n | z
+                    if w not in seen:
+                        add(w, x, z, v, False)
+                    if w | b not in seen:
+                        add(w | b, x, z | b, v, False)
+            # contraction against every popped statement, this one as the
+            # first premise and then as the second
+            for v in by_xz.get(xz | y, ()):
+                v |= y
+                w = ((x << n | v) if x < v else (v << n | x)) << n | z
+                if w not in seen and add(w, x, z, v):
                     return triples, wanted
-            # contraction, this statement as the second premise
-            for z1, y1 in tuple(by_xu.get((x, z), ())):
-                if push(x, z1, y1 | y):
+            for z1, y1 in by_xu.get(xz, ()):
+                v = y1 | y
+                w = ((x << n | v) if x < v else (v << n | x)) << n | z1
+                if w not in seen and add(w, x, z1, v):
                     return triples, wanted
+            by_xz[xz].append(y)
+            by_xu[xz | y].append((z, y))
             # composition against the union of every y seen with (x, z)
             if axioms.composition:
-                u = union.get((x, z), 0)
+                u = union.get(xz, 0)
                 if y & ~u:
                     u |= y
-                    union[(x, z)] = u
-                    if u != y and push(x, z, u):
+                    union[xz] = u
+                    w = ((x << n | u) if x < u else (u << n | x)) << n | z
+                    if u != y and w not in seen and add(w, x, z, u):
                         return triples, wanted
     return triples, wanted
 

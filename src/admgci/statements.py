@@ -28,6 +28,8 @@ class CiStatement:
     y: frozenset[str]
 
     def __init__(self, x: Collection[str], z: Collection[str], y: Collection[str]):
+        if isinstance(x, str) or isinstance(z, str) or isinstance(y, str):
+            raise InputError("expected a collection of vertex names, got a bare string")
         fx, fz, fy = frozenset(x), frozenset(z), frozenset(y)
         if not fx or not fy:
             raise InputError("a CI statement needs non-empty sets on both independence sides")

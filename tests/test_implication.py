@@ -63,10 +63,11 @@ class TestUniverse:
         assert uni.encode(st) == (0b0001, 0b0100, 0b1010)
         assert st in closure(uni, [st])
 
-    def test_word_identifies_symmetric_statements(self):
+    def test_a_statement_and_its_swap_are_one_triple(self):
         uni = StatementUniverse(["a", "b", "c"])
         st = CiStatement(["a"], ["c"], ["b"])
-        assert uni.word(*uni.encode(st)) == uni.word(*uni.encode(st.flipped()))
+        triples, _ = implication._saturate(uni, [st, st.flipped()], SEMI_GRAPHOID)
+        assert triples == [uni.encode(st)]
 
     def test_unknown_vertex(self):
         uni = StatementUniverse(["a", "b"])
@@ -156,6 +157,16 @@ class TestClosureProperties:
                     got = [implies(uni, seed, t, axioms) for t in targets]
                     assert got == implies_each(uni, seed, targets, axioms)
                     assert got == [t in want for t in targets], seed
+
+    def test_closure_of_reduced_bases_matches_round_robin_schedule(self):
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            g = random_admg(rng, int(rng.integers(4, 7)))
+            basis = reduced_basis(g).statements
+            uni = StatementUniverse(g.vertices)
+            for axioms in (SEMI_GRAPHOID, WITH_COMPOSITION):
+                want = closure_round_robin(basis, axioms.composition)
+                assert closure(uni, basis, axioms) == want, repr(g)
 
     def test_sound_for_m_separation(self):
         # seeds that hold as m-separations stay m-separations after closure

@@ -9,6 +9,7 @@ import pytest
 from admgci import (
     AxiomSet,
     CiStatement,
+    InputError,
     InternalError,
     PartialCorrTest,
     PrunedStatement,
@@ -81,3 +82,12 @@ def test_basis_with_mismatched_provenance_raises():
     with pytest.raises(InternalError, match="one provenance tag per statement"):
         ReducedBasis._make((basis.ordering, (), basis.provenance, ()))
     assert basis._replace(pruned=()) == basis
+
+
+@pytest.mark.parametrize("side", [0, 1, 2])
+def test_statement_rejects_a_bare_string_side(side):
+    # "bd" would otherwise be read as the two names b and d
+    sides = [["a"], [], ["c"]]
+    sides[side] = "bd"
+    with pytest.raises(InputError, match="got a bare string"):
+        CiStatement(*sides)
