@@ -17,10 +17,7 @@ _MODULE_OF = {
             "CapacityError GenerationError GraphParseError InputError InternalError NumericError",
         ),
         ("graphio", "fixture_graph format_graph load_graph parse_graph"),
-        (
-            "implication",
-            "SEMI_GRAPHOID WITH_COMPOSITION AxiomSet StatementUniverse closure implies",
-        ),
+        ("implication", "SEMI_GRAPHOID WITH_COMPOSITION StatementUniverse closure implies_each"),
         (
             "markov",
             "ORDERED_LOCAL REDUCED_FORM PartialCorrTest PrunedStatement ReducedBasis "

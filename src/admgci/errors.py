@@ -19,11 +19,8 @@ def file_error(path, exc: OSError | UnicodeDecodeError, verb: str = "read") -> I
 class GraphParseError(InputError):
     """Syntax or structural error in the graph text format."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
 
 
 class CapacityError(RuntimeError):

@@ -12,14 +12,14 @@ no pair of popped statements is missed. Composition, when enabled, adds
 (x, z, U) for the union U of every y seen with (x, z): a chain of composition
 steps, and complete, since decomposition of U then yields y1 ∪ y2 for any two
 such y. Membership in the closure decides implication; this is derivability
-under the stated axioms, not general probabilistic implication. ``implies``
-stops as soon as one statement found yields the target by symmetry,
-decomposition and weak union.
+under the stated axioms, not general probabilistic implication.
+``implies_each`` stops as soon as every target follows from one statement
+found by symmetry, decomposition and weak union.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque, namedtuple
+from collections import defaultdict, deque
 from collections.abc import Iterable
 
 from .errors import CapacityError, InputError
@@ -30,15 +30,10 @@ from .statements import CiStatement
 CLOSURE_BUDGET = 50_000
 
 
-class AxiomSet(namedtuple("AxiomSet", "composition", defaults=(False,))):
-    """Rule selection: the four semi-graphoid rules always apply, composition
-    on request. A named tuple: immutable, compared and hashed as a tuple."""
-
-    __slots__ = ()
-
-
-SEMI_GRAPHOID = AxiomSet(composition=False)
-WITH_COMPOSITION = AxiomSet(composition=True)
+# the ``composition`` argument: the four semi-graphoid rules always apply,
+# composition on request
+SEMI_GRAPHOID = False
+WITH_COMPOSITION = True
 
 
 class StatementUniverse:
@@ -83,7 +78,7 @@ def _entails(sx: int, sz: int, sy: int, tx: int, tz: int, ty: int) -> bool:
 def _saturate(
     universe: StatementUniverse,
     seed: Iterable[CiStatement],
-    axioms: AxiomSet,
+    composition: bool,
     targets: Iterable[tuple[int, int, int]] = (),
 ) -> tuple[list[tuple[int, int, int]], set[tuple[int, int, int]]]:
     """Least fixpoint of the enabled rules, or as much of it as entails every
@@ -156,7 +151,7 @@ def _saturate(
             by_xz[xz].append(y)
             by_xu[xz | y].append((z, y))
             # composition against the union of every y seen with (x, z)
-            if axioms.composition:
+            if composition:
                 u = union.get(xz, 0)
                 if y & ~u:
                     u |= y
@@ -168,36 +163,25 @@ def _saturate(
 
 
 def closure(
-    universe: StatementUniverse, seed: Iterable[CiStatement], axioms: AxiomSet = SEMI_GRAPHOID
+    universe: StatementUniverse, seed: Iterable[CiStatement], composition: bool = False
 ) -> set[CiStatement]:
     """All statements derivable from ``seed`` under the enabled axioms."""
-    triples, _ = _saturate(universe, seed, axioms)
+    triples, _ = _saturate(universe, seed, composition)
     masks = {m for t in triples for m in t}
     names = {m: frozenset(v for i, v in enumerate(universe.vertices) if m >> i & 1) for m in masks}
     return {CiStatement(names[x], names[z], names[y]) for x, z, y in triples}
-
-
-def implies(
-    universe: StatementUniverse,
-    seed: Iterable[CiStatement],
-    target: CiStatement,
-    axioms: AxiomSet = SEMI_GRAPHOID,
-) -> bool:
-    """Membership of ``target`` in the closure, with early exit once a
-    statement found entails it."""
-    return implies_each(universe, seed, [target], axioms)[0]
 
 
 def implies_each(
     universe: StatementUniverse,
     seed: Iterable[CiStatement],
     targets: Iterable[CiStatement],
-    axioms: AxiomSet = SEMI_GRAPHOID,
+    composition: bool = False,
 ) -> list[bool]:
     """Membership of each target in the closure, from one saturation that
     stops once every target follows from a statement found."""
     encoded = [universe.encode(t) for t in targets]
     if not encoded:
         return []
-    _, missing = _saturate(universe, seed, axioms, encoded)
+    _, missing = _saturate(universe, seed, composition, encoded)
     return [t not in missing for t in encoded]

@@ -141,16 +141,16 @@ def m_separated_bruteforce(
     x_set: Collection[str],
     y_set: Collection[str],
     z_set: Collection[str],
-    cap: int = BRUTE_FORCE_CAP,
 ) -> bool:
     """Literal m-separation by exhaustive simple-path enumeration.
 
     Independent of :func:`m_separated`; intended as an oracle for graphs with
-    at most ``cap`` vertices.
+    at most ``BRUTE_FORCE_CAP`` vertices, read when called.
     """
-    if len(g.vertices) > cap:
+    if len(g.vertices) > BRUTE_FORCE_CAP:
         raise CapacityError(
-            f"brute-force oracle capped at {cap} vertices, graph has {len(g.vertices)}"
+            f"brute-force oracle capped at {BRUTE_FORCE_CAP} vertices, "
+            f"graph has {len(g.vertices)}"
         )
     x, y, z = _validate_query(g, x_set, y_set, z_set)
     anc_z = g.ancestors(z)

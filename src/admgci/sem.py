@@ -104,24 +104,25 @@ def partial_correlation(
     return _partial_correlation_of(sub)
 
 
-def random_parameters(
-    g: Admg,
-    seed: int,
-    max_condition: float = 1e8,
-    max_draws: int = 50,
-) -> SemParameters:
+# random_parameters redraws an ill-conditioned implied covariance, at most
+# MAX_DRAWS times; both are read at call time
+MAX_CONDITION = 1e8
+MAX_DRAWS = 50
+
+
+def random_parameters(g: Admg, seed: int) -> SemParameters:
     """Generic parameters, deterministic in ``seed``.
 
     Coefficient magnitudes are uniform in [0.3, 1.0] with random sign. Error
     covariance blocks come from a normalized random Gram matrix per
     c-component, zeroed outside the bi-directed support; off-diagonals are
     halved (up to 10 times) until the block is positive definite. Draws whose
-    implied covariance is ill-conditioned (> ``max_condition``) are rejected
-    and redrawn.
+    implied covariance is ill-conditioned (> ``MAX_CONDITION``) are rejected
+    and redrawn, up to ``MAX_DRAWS`` draws in all.
     """
     rng = np.random.default_rng(seed)
     order = g.topological_ordering()
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         coefficients = {}
         for edge in sorted(g.directed_edges):
             magnitude = rng.uniform(0.3, 1.0)
@@ -130,55 +131,52 @@ def random_parameters(
 
         variances: dict[str, float] = {}
         covariances: dict[frozenset[str], float] = {}
-        ok = True
         for comp in g.c_components():
-            members = sorted(comp)
-            k = len(members)
-            if k == 1:
-                variances[members[0]] = float(rng.uniform(0.5, 1.5))
+            pos = {v: i for i, v in enumerate(sorted(comp))}
+            if len(pos) == 1:
+                variances[next(iter(pos))] = float(rng.uniform(0.5, 1.5))
                 continue
-            m = rng.normal(size=(k, k))
-            block = m @ m.T + 0.1 * np.eye(k)
-            d = np.sqrt(np.diag(block))
-            block = block / np.outer(d, d)  # unit diagonal, entries in (-1, 1)
-            support = np.eye(k, dtype=bool)
-            pos = {v: i for i, v in enumerate(members)}
-            for edge in g.bidirected_edges:
-                u, v = tuple(edge)
-                if u in comp:
-                    support[pos[u], pos[v]] = support[pos[v], pos[u]] = True
-            block = np.where(support, block, 0.0)
-            for _attempt in range(10):
-                if np.linalg.eigvalsh(block).min() > 1e-10:
-                    break
-                off = block - np.diag(np.diag(block))
-                block = np.diag(np.diag(block)) + off / 2
-            else:
-                ok = False
+            block = _error_block(rng, g, pos)
+            if block is None:
                 break
-            scale = np.sqrt(rng.uniform(0.5, 1.5, size=k))
-            block = block * np.outer(scale, scale)
-            for i, u in enumerate(members):
+            for u, i in pos.items():
                 variances[u] = float(block[i, i])
-            for edge in g.bidirected_edges:
-                u, v = tuple(edge)
-                if u in comp:
-                    value = float(block[pos[u], pos[v]])
-                    if value == 0.0:
-                        ok = False
-                    covariances[edge] = value
-            if not ok:
-                break
-        if not ok:
-            continue
-
-        params = SemParameters(coefficients, variances, covariances)
-        sigma = implied_covariance(g, params, order)
-        if np.linalg.cond(sigma.matrix) <= max_condition:
-            return params
+                for v in g._spouses[u]:
+                    covariances[frozenset((u, v))] = float(block[i, pos[v]])
+        else:
+            params = SemParameters(coefficients, variances, covariances)
+            sigma = implied_covariance(g, params, order)
+            if np.linalg.cond(sigma.matrix) <= MAX_CONDITION:
+                return params
     raise GenerationError(
-        f"no supported positive-definite parameterization found in {max_draws} draws"
+        f"no supported positive-definite parameterization found in {MAX_DRAWS} draws"
     )
+
+
+def _error_block(rng: np.random.Generator, g: Admg, pos: dict[str, int]) -> np.ndarray | None:
+    """The scaled error covariance block of one district, rows in the order
+    ``pos`` gives its members, or None when it stays indefinite or an edge's
+    covariance comes out zero."""
+    k = len(pos)
+    m = rng.normal(size=(k, k))
+    block = m @ m.T + 0.1 * np.eye(k)
+    d = np.sqrt(np.diag(block))
+    block = block / np.outer(d, d)  # unit diagonal, entries in (-1, 1)
+    support = np.eye(k, dtype=bool)
+    for u, i in pos.items():
+        for v in g._spouses[u]:  # within the district, so every v has a row
+            support[i, pos[v]] = True
+    block = np.where(support, block, 0.0)
+    for _attempt in range(10):
+        if np.linalg.eigvalsh(block).min() > 1e-10:
+            break
+        off = block - np.diag(np.diag(block))
+        block = np.diag(np.diag(block)) + off / 2
+    else:
+        return None
+    scale = np.sqrt(rng.uniform(0.5, 1.5, size=k))
+    block = block * np.outer(scale, scale)
+    return None if (block[support] == 0.0).any() else block
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,6 @@ class TestReport:
     alpha: float
     correction: str
     n: int
-    method: str = "fisher-z"
 
     @property
     def rejections(self) -> int:
@@ -388,9 +385,10 @@ def run_tests(
         raise InputError(f"unknown correction {correction!r}")
     if not 0 < alpha < 1:
         raise InputError("alpha must lie strictly between 0 and 1")
+    column = {name: i for i, name in enumerate(data.variables)}
     for t in plan:
         for name in (t.x, t.y, *t.given):
-            if name not in data.variables:
+            if name not in column:
                 raise InputError(f"data is missing column {name!r} required by the plan")
     threshold = alpha / len(plan) if (correction == "bonferroni" and plan) else alpha
     # a constant column makes the covariance singular, whatever rounding says
@@ -409,7 +407,7 @@ def run_tests(
         else:
             if cov is None:
                 cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
-            idx = [data.variables.index(n) for n in (t.x, t.y, *sorted(t.given))]
+            idx = [column[n] for n in (t.x, t.y, *sorted(t.given))]
             try:
                 r = _partial_correlation_of(cov[np.ix_(idx, idx)])
             except NumericError as exc:

@@ -50,11 +50,6 @@ class CiStatement:
     def __reduce__(self):
         return CiStatement, (self.x, self.z, self.y)
 
-    @property
-    def key(self) -> tuple:
-        """Symmetry-canonical identity ``(frozenset({x, y}), z)``, never sorted."""
-        return self._key
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CiStatement):
             return NotImplemented

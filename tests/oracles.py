@@ -26,7 +26,6 @@ from admgci import (
     Admg,
     CiStatement,
     InputError,
-    maximal_ancestral_sets,
 )
 
 
@@ -297,7 +296,7 @@ def reduced_basis_reference(g: Admg, ordering) -> tuple[list[CiStatement], list[
                 emit(CiStatement([x], g.parents([x]), indep), REDUCED_FORM)
             continue
         top = None
-        for i, a in enumerate(maximal_ancestral_sets(g, x, order)):
+        for i, a in enumerate(maximal_ancestral_sets_by_scan(g, x, order)):
             mb = blanket_by_definition(g, x, a)
             indep = a - mb - {x}
             stmt = CiStatement([x], mb, indep) if indep else None

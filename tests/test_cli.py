@@ -409,7 +409,7 @@ def test_graph_only_subcommands_never_import_numpy():
     assert report["after_sem_names"] is True
     assert report["bound"] == ["DataTable", "run_tests"]
     assert report["unresolved"] == []
-    assert len(report["all"]) == 45 and {"DataTable", "run_tests", "test_plan"} <= set(report["all"])
+    assert len(report["all"]) == 44 and {"DataTable", "run_tests", "test_plan"} <= set(report["all"])
     assert report["dir"] == [] and report["star"] == []
 
 

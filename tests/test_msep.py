@@ -10,6 +10,7 @@ from admgci import (
     m_separated,
     m_separated_bruteforce,
 )
+from admgci import msep
 from admgci.msep import _m_connecting, _simple_mixed_paths
 from conftest import random_admg, random_dag, random_sparse_admg
 from oracles import all_subsets, d_separated_moral, m_separated_latent_moral
@@ -34,11 +35,12 @@ class TestExamples:
         assert not m_separated_bruteforce(g, ["x"], ["y"], [])
         assert not m_separated(g, ["x"], ["y"], [])
 
-    def test_bruteforce_capacity(self):
+    def test_bruteforce_capacity(self, monkeypatch):
         g = Admg([f"v{i}" for i in range(11)])
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="capped at 10 vertices, graph has 11"):
             m_separated_bruteforce(g, ["v0"], ["v1"], [])
-        assert m_separated_bruteforce(g, ["v0"], ["v1"], [], cap=11)
+        monkeypatch.setattr(msep, "BRUTE_FORCE_CAP", 11)
+        assert m_separated_bruteforce(g, ["v0"], ["v1"], [])
 
     def test_query_validation(self, figure2):
         with pytest.raises(InputError, match="disjoint"):

@@ -1,6 +1,8 @@
 """The package's public names: the ones the benchmark reads or wraps still
 resolve, and the test-only wrappers stay gone."""
 
+import dataclasses
+
 import pytest
 
 import admgci
@@ -13,6 +15,16 @@ REMOVED = [
     (markov, "reduced_form_applies"),
     (markov, "redundant_ancestral_set"),
     (msep, "connecting_paths"),
+    (implication, "implies"),
+    (implication, "AxiomSet"),
+]
+
+# settings with one value in use, now module constants read at call time:
+# (function, its arguments after the graph, keyword, the constant's value)
+REMOVED_KEYWORDS = [
+    (msep.m_separated_bruteforce, (["a"], ["e"], ["d"]), "cap", 10),
+    (sem.random_parameters, (5,), "max_condition", 1e8),
+    (sem.random_parameters, (5,), "max_draws", 50),
 ]
 
 # read through the package by perfbench/workloads.py and perfbench/test_reference.py
@@ -59,6 +71,24 @@ def test_removed_names_are_gone(module, name):
 
 def test_statement_universe_has_no_decode():
     assert not hasattr(implication.StatementUniverse, "decode")
+
+
+@pytest.mark.parametrize(
+    "func, args, keyword, value", REMOVED_KEYWORDS, ids=[k for _, _, k, _ in REMOVED_KEYWORDS]
+)
+def test_removed_keywords_raise_type_error(func, args, keyword, value, figure2):
+    with pytest.raises(TypeError, match=keyword):
+        func(figure2, *args, **{keyword: value})
+
+
+def test_implies_each_resolves():
+    assert admgci.implies_each is implication.implies_each
+
+
+def test_removed_attributes_are_gone():
+    assert not hasattr(admgci.CiStatement(["a"], [], ["b"]), "key")
+    assert not hasattr(admgci.GraphParseError("bad", 3), "line")
+    assert "method" not in {f.name for f in dataclasses.fields(sem.TestReport)}
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

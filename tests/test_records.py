@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from admgci import (
-    AxiomSet,
     CiStatement,
     InputError,
     InternalError,
@@ -28,17 +27,15 @@ def make(kind):
         "pruned": lambda: PrunedStatement(st("a", "d", "e"), 0),
         "basis": lambda: ReducedBasis(("a", "d", "e"), (st("a", "d", "e"),), ("reduced-form",), ()),
         "test": lambda: PartialCorrTest("a", "e", frozenset("d"), 0),
-        "axioms": lambda: AxiomSet(composition=True),
     }[kind]()
 
 
-KINDS = ["statement", "pruned", "basis", "test", "axioms"]
+KINDS = ["statement", "pruned", "basis", "test"]
 FIELDS = {
     "statement": ["x", "z", "y"],
     "pruned": ["statement", "implied_by"],
     "basis": ["ordering", "statements", "provenance", "pruned"],
     "test": ["x", "y", "given", "source_statement"],
-    "axioms": ["composition"],
 }
 
 
@@ -67,7 +64,6 @@ def test_equal_fields_give_equal_values_and_hashes(kind):
 def test_different_fields_compare_unequal():
     assert PrunedStatement(st("a", "d", "e"), 0) != PrunedStatement(st("a", "d", "e"), 1)
     assert PartialCorrTest("a", "e", frozenset(), 0) != PartialCorrTest("a", "e", frozenset("d"), 0)
-    assert AxiomSet() == AxiomSet(composition=False) != AxiomSet(composition=True)
     assert st("a", "d", "e") != st("a", "", "e")
 
 
