@@ -247,11 +247,6 @@ class Admg:
         bidirected = [e for e in self._bidirected if e <= a]
         return Admg(a, directed, bidirected)
 
-    def is_ancestral(self, a: Collection[str]) -> bool:
-        """True iff ``a`` is closed under the ancestor relation."""
-        a = self._check_set(a)
-        return self.ancestors(a) == a
-
     def has_mixed_directed_path(self, alpha: str, beta: str) -> bool:
         """True iff a vertex-simple path from ``alpha`` to ``beta`` exists whose
         edges are all bi-directed or forward-pointing directed, with at least

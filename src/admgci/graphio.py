@@ -64,17 +64,13 @@ def format_graph(g: Admg) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def fixture_text(name: str) -> str:
-    """Source text of a bundled fixture graph (figure1, figure2, figure3)."""
+def fixture_graph(name: str) -> Admg:
+    """A bundled fixture graph (figure1, figure2, figure3)."""
     if name not in FIXTURE_NAMES:
         raise InputError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     from importlib import resources
 
-    return resources.files(__package__).joinpath(f"fixtures/{name}.txt").read_text()
-
-
-def fixture_graph(name: str) -> Admg:
-    return parse_graph(fixture_text(name))
+    return parse_graph(resources.files(__package__).joinpath(f"fixtures/{name}.txt").read_text())
 
 
 def load_graph(path_or_fixture: str) -> Admg:

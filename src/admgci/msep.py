@@ -87,19 +87,15 @@ def _simple_mixed_paths(
     g: Admg, start: str, goal: str
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """All vertex-simple paths start..goal, branching over parallel edge types."""
-    children = {v: sorted(g.children([v])) for v in g.vertices}
-    parents = {v: sorted(g.parents([v])) for v in g.vertices}
-    spouses = {v: sorted(g.spouses([v])) for v in g.vertices}
-
     path = [start]
     marks: list[str] = []
     on_path = {start}
 
     def walk(v: str) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
         steps = (
-            [(w, _FORWARD) for w in children[v]]
-            + [(w, _BACKWARD) for w in parents[v]]
-            + [(w, _BI) for w in spouses[v]]
+            [(w, _FORWARD) for w in g._children[v]]
+            + [(w, _BACKWARD) for w in g._parents[v]]
+            + [(w, _BI) for w in g._spouses[v]]
         )
         for w, mark in steps:
             if w in on_path:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .admg import Admg, validate_ordering
+from .admg import Admg
 from .errors import GenerationError, InputError, NumericError, file_error
 
 
@@ -60,9 +60,12 @@ class Covariance:
         return self.matrix[np.ix_(idx, idx)]
 
 
-def implied_covariance(g: Admg, params: SemParameters, ordering: Iterable[str]) -> Covariance:
-    """Covariance of the joint normal distribution the equations define."""
-    order = validate_ordering(g, ordering)
+def implied_covariance(g: Admg, params: SemParameters) -> Covariance:
+    """Covariance of the joint normal distribution the equations define, rows
+    in the graph's topological order."""
+    if not g.vertices:
+        raise InputError("the graph has no vertices, so it implies no covariance")
+    order = g.topological_ordering()
     params.validate(g)
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
@@ -121,7 +124,6 @@ def random_parameters(g: Admg, seed: int) -> SemParameters:
     and redrawn, up to ``MAX_DRAWS`` draws in all.
     """
     rng = np.random.default_rng(seed)
-    order = g.topological_ordering()
     for _ in range(MAX_DRAWS):
         coefficients = {}
         for edge in sorted(g.directed_edges):
@@ -145,7 +147,7 @@ def random_parameters(g: Admg, seed: int) -> SemParameters:
                     covariances[frozenset((u, v))] = float(block[i, pos[v]])
         else:
             params = SemParameters(coefficients, variances, covariances)
-            sigma = implied_covariance(g, params, order)
+            sigma = implied_covariance(g, params)
             if np.linalg.cond(sigma.matrix) <= MAX_CONDITION:
                 return params
     raise GenerationError(
@@ -246,9 +248,12 @@ def _loadtxt(fh, width: int) -> np.ndarray | None:
     blank = True
     for chunk in iter(partial(fh.read, 1 << 16), ""):
         # loadtxt strips the ASCII separators \x1c-\x1f around a number,
-        # which float rejects; a quoted cell goes to the row loop, whose csv
-        # reader alone applies the field size limit
-        if any(c in chunk for c in '"\x1c\x1d\x1e\x1f'):
+        # which float rejects; only the row loop's csv reader applies the
+        # field size limit, so a quoted cell goes there, and so does a full
+        # chunk without \n, which every line over two chunks long holds
+        if any(c in chunk for c in '"\x1c\x1d\x1e\x1f') or (
+            len(chunk) == 1 << 16 and "\n" not in chunk
+        ):
             return None
         blank = blank and chunk.isspace()
     if blank:  # loadtxt warns on a body without data
@@ -268,30 +273,22 @@ def _read_rows(reader, variables: tuple[str, ...]) -> np.ndarray:
     ``float``; raises :class:`InputError` naming the line of the first bad row
     or cell."""
     rows = []
-    blank_lines = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
-            blank_lines.append(lineno)
             continue
         if len(row) != len(variables):
             raise InputError(f"line {lineno}: expected {len(variables)} fields")
         try:
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
+        for name, value in zip(variables, values):
+            if not math.isfinite(value):
+                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
+        rows.append(values)
     if not rows:
         raise InputError("data file contains no observations")
-    values = np.asarray(rows, dtype=float)
-    del rows  # free the parsed floats before the check allocates its mask
-    if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        lineno = i + 2
-        for blank in blank_lines:  # ascending; each one shifts later rows down
-            lineno += blank <= lineno
-        raise InputError(
-            f"line {lineno}: non-finite value {values[i, j]} in column {variables[j]!r}"
-        )
-    return values
+    return np.asarray(rows, dtype=float)
 
 
 def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
@@ -299,13 +296,12 @@ def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
     in ``seed``; columns in lexicographic vertex order."""
     if n < 1:
         raise InputError("sample count must be at least 1")
-    order = g.topological_ordering()
-    sigma = implied_covariance(g, params, order)
+    sigma = implied_covariance(g, params)
     chol = np.linalg.cholesky(sigma.matrix)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n, len(order))) @ chol.T
+    draws = rng.standard_normal((n, len(sigma.variables))) @ chol.T
     columns = tuple(g.vertices)
-    permutation = [order.index(v) for v in columns]
+    permutation = [sigma.variables.index(v) for v in columns]
     return DataTable(columns, draws[:, permutation])
 
 

@@ -58,9 +58,6 @@ class CiStatement:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def flipped(self) -> "CiStatement":
-        return CiStatement(self.y, self.z, self.x)
-
     def render(self) -> str:
         """Text form, members in lexicographic order: ``I({a} ; {d} ; {e})``."""
         part = lambda s: "{" + ",".join(sorted(s)) + "}"

@@ -421,20 +421,16 @@ def csv_by_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            variables, rows, lines = _float_rows(reader)
+            variables, rows = _float_rows(reader)
         except csv.Error as exc:
             raise InputError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError("data file contains no observations")
-    for lineno, row in zip(lines, rows):
-        for name, value in zip(variables, row):
-            if not np.isfinite(value):
-                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
     return variables, np.array(rows, dtype=float)
 
 
 def _float_rows(reader):
-    """Header names, the non-blank rows as floats and their line numbers."""
+    """Header names and the non-blank rows as finite floats."""
     try:
         header = next(reader)
     except StopIteration:
@@ -443,15 +439,18 @@ def _float_rows(reader):
     if len(set(variables)) != len(variables):
         duplicate = next(v for v in variables if variables.count(v) > 1)
         raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
-    rows, lines = [], []
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(variables):
             raise InputError(f"line {lineno}: expected {len(variables)} fields")
         try:
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        lines.append(lineno)
-    return variables, rows, lines
+        for name, value in zip(variables, values):
+            if not np.isfinite(value):
+                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
+        rows.append(values)
+    return variables, rows

@@ -206,12 +206,11 @@ def test_criterion_07_sem_test_plans(capsys):
 
 
 def test_criterion_08_gaussian_exact_zeros(figure2):
-    order = figure2.topological_ordering()
     plan = build_test_plan(reduced_local_markov(figure2))
     nonzero_hits = 0
     for seed in range(100):
         params = random_parameters(figure2, seed)
-        sigma = implied_covariance(figure2, params, order)
+        sigma = implied_covariance(figure2, params)
         for t in plan:
             assert abs(partial_correlation(sigma, t.x, t.y, t.given)) < 1e-9
         if abs(partial_correlation(sigma, "a", "b", ["d"])) > 1e-6:

@@ -176,10 +176,10 @@ class TestRelations:
         empty = figure2.induced_subgraph([])
         assert empty.vertices == ()
 
-    def test_is_ancestral(self, figure2):
-        assert figure2.is_ancestral({"a", "c", "d", "e"})
-        assert not figure2.is_ancestral({"a"})
-        assert figure2.is_ancestral([])
+    def test_ancestral_sets_are_their_own_closure(self, figure2):
+        assert figure2.ancestors({"a", "c", "d", "e"}) == {"a", "c", "d", "e"}
+        assert figure2.ancestors({"a"}) != {"a"}
+        assert figure2.ancestors([]) == frozenset()
 
     def test_ancestral_closure_idempotent_extensive(self):
         rng = np.random.default_rng(4)
@@ -190,7 +190,7 @@ class TestRelations:
             closed = g.ancestors(s)
             assert s <= closed
             assert g.ancestors(closed) == closed
-            assert g.is_ancestral(closed)
+            assert g.parents(closed) <= closed
 
     def test_monotone_in_argument(self):
         rng = np.random.default_rng(5)

@@ -220,6 +220,18 @@ class TestExitCodes:
         assert "argument --seed: must be at least 0, got -1" in err
         assert not out.exists()
 
+    def test_a_graph_without_vertices(self, capsys, tmp_path):
+        # no vertices imply no covariance to draw from, but the empty plan passes
+        graph, out, data = tmp_path / "empty.txt", tmp_path / "x.csv", tmp_path / "d.csv"
+        graph.write_text("")
+        data.write_text("a,b\n1,2\n3,4\n")
+        code, stdout, err = run(capsys, "simulate", str(graph), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: the graph has no vertices, so it implies no covariance\n"
+        assert not out.exists()
+        code, payload, _ = run_json(capsys, "sem-check", str(graph), str(data))
+        assert (code, payload["tests"], payload["pass"]) == (0, [], True)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -317,6 +329,7 @@ class TestExitCodes:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read().decode()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 

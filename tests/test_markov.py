@@ -88,7 +88,7 @@ class TestMarkovBlanket:
             g = random_admg(rng, int(rng.integers(2, 9)))
             for subset in all_subsets(g.vertices):
                 a = frozenset(subset)
-                if not g.is_ancestral(a):
+                if g.ancestors(a) != a:
                     continue
                 for x in sorted(a):
                     if a.isdisjoint(g.children([x])):
@@ -413,7 +413,7 @@ class TestPruningConditions:
             for i, x in enumerate(order):
                 for subset in all_subsets(order[:i]):
                     a = frozenset(subset) | {x}
-                    if g.is_ancestral(a):
+                    if g.ancestors(a) == a:
                         got = prunable(g, x, order, a)
                         assert got == redundant_by_definition(g, x, order, a), (
                             repr(g), order, x, sorted(a)

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 import admgci
-from admgci import admg, graphio, implication, markov, msep, sem
+from admgci import admg, graphio, implication, markov, msep, sem, statements
 
 # removed with their replacements: see the README's "Library entry points"
 REMOVED = [
@@ -17,6 +17,9 @@ REMOVED = [
     (msep, "connecting_paths"),
     (implication, "implies"),
     (implication, "AxiomSet"),
+    (admg.Admg, "is_ancestral"),
+    (statements.CiStatement, "flipped"),
+    (graphio, "fixture_text"),
 ]
 
 # settings with one value in use, now module constants read at call time:
@@ -79,6 +82,12 @@ def test_statement_universe_has_no_decode():
 def test_removed_keywords_raise_type_error(func, args, keyword, value, figure2):
     with pytest.raises(TypeError, match=keyword):
         func(figure2, *args, **{keyword: value})
+
+
+def test_implied_covariance_takes_no_ordering(figure2):
+    params = sem.random_parameters(figure2, 5)
+    with pytest.raises(TypeError):
+        sem.implied_covariance(figure2, params, figure2.topological_ordering())
 
 
 def test_implies_each_resolves():

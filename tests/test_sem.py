@@ -116,15 +116,14 @@ class TestParameters:
             p = random_parameters(g, seed)
             assert set(p.error_covariances) == set(g.bidirected_edges)
             assert all(v != 0 for v in p.error_covariances.values())
-            sigma = implied_covariance(g, p, g.topological_ordering())
+            sigma = implied_covariance(g, p)
             assert eigvalsh(sigma.matrix).min() > 0
         assert any(singular)  # some seed reached the halving loop
 
     def test_error_covariance_positive_definite(self, figure2):
         for seed in range(20):
             p = random_parameters(figure2, seed)
-            order = figure2.topological_ordering()
-            sigma = implied_covariance(figure2, p, order)
+            sigma = implied_covariance(figure2, p)
             assert np.linalg.eigvalsh(sigma.matrix).min() > 0
 
 
@@ -132,13 +131,13 @@ class TestImpliedCovariance:
     def test_empty_graph_unit_errors(self):
         g = Admg(["x", "y"])
         p = SemParameters({}, {"x": 1.0, "y": 1.0}, {})
-        sigma = implied_covariance(g, p, ("x", "y"))
+        sigma = implied_covariance(g, p)
         assert np.allclose(sigma.matrix, np.eye(2))
 
     def test_single_edge(self):
         g = Admg(["x", "y"], [("x", "y")])
         p = SemParameters({("x", "y"): 0.7}, {"x": 1.0, "y": 1.0}, {})
-        sigma = implied_covariance(g, p, ("x", "y"))
+        sigma = implied_covariance(g, p)
         assert sigma.matrix[0, 1] == pytest.approx(0.7)
         assert sigma.matrix[1, 1] == pytest.approx(0.7**2 + 1)
 
@@ -146,12 +145,23 @@ class TestImpliedCovariance:
         g = Admg(["x", "y"], bidirected=[("x", "y")])
         p = SemParameters({}, {"x": 1.0, "y": 1.0}, {frozenset(("x", "y")): 1.5})
         with pytest.raises(InputError, match="positive definite"):
-            implied_covariance(g, p, ("x", "y"))
+            implied_covariance(g, p)
+
+    def test_rows_in_topological_order(self):
+        g = Admg(["x", "y"], [("y", "x")])
+        p = SemParameters({("y", "x"): 0.5}, {"x": 1.0, "y": 1.0}, {})
+        assert implied_covariance(g, p).variables == ("y", "x")
+
+    def test_a_graph_without_vertices_is_rejected(self):
+        g = Admg([])
+        with pytest.raises(InputError, match="^the graph has no vertices"):
+            implied_covariance(g, SemParameters({}, {}, {}))
+        with pytest.raises(InputError, match="^the graph has no vertices"):
+            random_parameters(g, 0)
 
     def test_figure2_separated_triples_vanish(self, figure2):
-        order = figure2.topological_ordering()
         for seed in range(25):
-            sigma = implied_covariance(figure2, random_parameters(figure2, seed), order)
+            sigma = implied_covariance(figure2, random_parameters(figure2, seed))
             for x in ("a", "b", "c"):
                 assert abs(partial_correlation(sigma, x, "e", ["d"])) < 1e-9
 
@@ -164,9 +174,7 @@ class TestPartialCorrelation:
         assert partial_correlation(sigma, "x", "y") == pytest.approx(want)
 
     def test_symmetric_in_arguments(self, figure2):
-        sigma = implied_covariance(
-            figure2, random_parameters(figure2, 3), figure2.topological_ordering()
-        )
+        sigma = implied_covariance(figure2, random_parameters(figure2, 3))
         r1 = partial_correlation(sigma, "a", "b", ["d"])
         r2 = partial_correlation(sigma, "b", "a", ["d"])
         assert r1 == pytest.approx(r2)
@@ -174,9 +182,7 @@ class TestPartialCorrelation:
 
     def test_invariant_under_diagonal_rescaling(self, figure2):
         rng = np.random.default_rng(50)
-        sigma = implied_covariance(
-            figure2, random_parameters(figure2, 4), figure2.topological_ordering()
-        )
+        sigma = implied_covariance(figure2, random_parameters(figure2, 4))
         d = np.diag(rng.uniform(0.5, 3.0, size=len(sigma.variables)))
         scaled = Covariance(sigma.variables, d @ sigma.matrix @ d)
         for x, y, z in [("a", "b", ["d"]), ("a", "e", ["d"]), ("c", "e", [])]:
@@ -185,9 +191,7 @@ class TestPartialCorrelation:
             )
 
     def test_argument_validation(self, figure2):
-        sigma = implied_covariance(
-            figure2, random_parameters(figure2, 5), figure2.topological_ordering()
-        )
+        sigma = implied_covariance(figure2, random_parameters(figure2, 5))
         with pytest.raises(InputError):
             partial_correlation(sigma, "a", "a")
         with pytest.raises(InputError):
@@ -201,7 +205,7 @@ class TestPartialCorrelation:
         for _ in range(25):
             g = random_admg(rng, int(rng.integers(2, 6)))
             p = random_parameters(g, int(rng.integers(0, 10_000)))
-            sigma = implied_covariance(g, p, g.topological_ordering())
+            sigma = implied_covariance(g, p)
             for x, y in itertools.combinations(g.vertices, 2):
                 rest = [v for v in g.vertices if v not in (x, y)]
                 for k in range(len(rest) + 1):
@@ -226,7 +230,7 @@ class TestSimulate:
 
     def test_sample_covariance_approaches_implied(self, figure2):
         p = random_parameters(figure2, 7)
-        sigma = implied_covariance(figure2, p, figure2.topological_ordering())
+        sigma = implied_covariance(figure2, p)
         table = simulate(figure2, p, 1_000_000, seed=11)
         order = [sigma.variables.index(v) for v in table.variables]
         want = sigma.matrix[np.ix_(order, order)]
@@ -260,14 +264,28 @@ class TestSimulate:
         [
             ('"' + "x" * 200_000 + '",b\n1.0,2.0\n', 1),
             ('a,b\n1.0,2.0\n"' + "x" * 200_000 + '",3.0\n', 3),
+            ("a,b\n1.0,2.0\n" + "0" * 199_999 + "1,3.0\n", 3),  # float would read 1.0
         ],
-        ids=["header", "body"],
+        ids=["header", "body", "unquoted"],
     )
     def test_csv_field_over_the_size_limit(self, tmp_path, text, line):
         path = tmp_path / "big.csv"
         path.write_text(text)
         with pytest.raises(InputError, match=f"^line {line}: field larger than field limit"):
             DataTable.from_csv(path)
+
+    def test_csv_session_size_takes_the_numpy_pass(self, tmp_path, monkeypatch):
+        # 10 000 rows of 30 columns, the size of perfbench's cli_session data
+        values = np.random.default_rng(13).standard_normal((10_000, 30))
+        path = tmp_path / "session.csv"
+        header = ",".join(f"v{i}" for i in range(30))
+        np.savetxt(path, values, delimiter=",", header=header, comments="", fmt="%.17g")
+
+        def row_loop(reader, variables):
+            raise AssertionError("the row loop read a file the numpy pass reads")
+
+        monkeypatch.setattr(sem, "_read_rows", row_loop)
+        assert np.array_equal(DataTable.from_csv(path).values, values)
 
     def test_csv_rejects_duplicate_columns(self, tmp_path):
         # otherwise the first c would win and the second column go unread
@@ -282,6 +300,7 @@ class TestSimulate:
             ("nan,1.0\nnan,2.0\nNaN,3.0\n", 2, "nan"),  # an all-NaN column
             ("1.0,2.0\n\n3.0,inf\n", 4, "inf"),  # the blank line 3 still counts
             ("1.0,2.0\n-inf,3.0\n", 3, "-inf"),
+            ("1.0,nan\n2.0,x\n", 2, "nan"),  # the first of two bad lines
         ],
     )
     def test_csv_rejects_non_finite_values(self, tmp_path, body, line, cell):
