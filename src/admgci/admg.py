@@ -48,10 +48,11 @@ class Admg:
     parent, child and spouse maps, the one representation every algorithm
     reads (sorted tuples, which iterate fast and in the same order under any
     hash seed); the least-name-first topological order, whose sort is also the
-    acyclicity check; the districts; and the strongly connected components of
-    the mixed graph (directed edges forward, bi-directed edges both ways),
-    with the *cyclic* ones that hold a directed edge. Ancestor and descendant
-    closures are cached per vertex on first use.
+    acyclicity check, and each vertex's position in it; the districts; and
+    the strongly connected components of the mixed graph (directed edges
+    forward, bi-directed edges both ways), with the *cyclic* ones that hold a
+    directed edge. Ancestor and descendant closures are cached per vertex on
+    first use.
 
     Parameters
     ----------
@@ -123,6 +124,7 @@ class Admg:
             cyclic = sorted(v for v, r in scc.items() if roots[r] > 1)
             raise InputError(f"directed part has a cycle through {{{','.join(cyclic)}}}")
         self._order = tuple(order)
+        self._position = {v: i for i, v in enumerate(order)}
 
         self._district: dict[str, frozenset[str]] = {}
         for v in names:  # a district is met first at its least member

@@ -11,9 +11,11 @@ moves up to parents and down to children and spouses; a down-visit outside z
 moves down to children. A collider in z sends the pass back up to its
 parents and down across its bi-directed edges; a collider with a descendant
 in z opens the same way, by the walk down to that descendant and back up, so
-no ancestor set of z is computed. The oracle enumerates vertex-simple paths
-and applies the collider / non-collider conditions literally; it is
-intentionally small-graph only.
+no ancestor set of z is computed. Children come later in the topological
+order, so the pass makes no down-visit past the last member of y ∪ z, where
+it could reach neither y nor a collider in z. The oracle enumerates
+vertex-simple paths and applies the collider / non-collider conditions
+literally; it is intentionally small-graph only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def m_separated(
 ) -> bool:
     """True iff no m-connecting path exists between ``x_set`` and ``y_set`` given ``z_set``."""
     x, y, z = _validate_query(g, x_set, y_set, z_set)
-    parents, children, spouses = g._parents, g._children, g._spouses
+    parents, children, spouses, position = g._parents, g._children, g._spouses, g._position
+    limit = max(position[v] for v in y | z)
     # "up": entered from a child (or a source); "down": entered through an
     # arrowhead, from a parent or across a bi-directed edge
     up_seen: set[str] = set(x)
@@ -72,7 +75,7 @@ def m_separated(
         for c in downs:
             if c in y:
                 return False
-            if c not in down_seen:
+            if c not in down_seen and position[c] <= limit:
                 down_seen.add(c)
                 down_todo.append(c)
     return True

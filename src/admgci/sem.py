@@ -273,18 +273,20 @@ def _read_rows(reader, variables: tuple[str, ...]) -> np.ndarray:
     ``float``; raises :class:`InputError` naming the line of the first bad row
     or cell."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(variables):
-            raise InputError(f"line {lineno}: expected {len(variables)} fields")
+            raise InputError(f"line {reader.line_num}: expected {len(variables)} fields")
         try:
             values = [float(v) for v in row]
         except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {reader.line_num}: {exc}") from None
         for name, value in zip(variables, values):
             if not math.isfinite(value):
-                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
+                raise InputError(
+                    f"line {reader.line_num}: non-finite value {value} in column {name!r}"
+                )
         rows.append(values)
     if not rows:
         raise InputError("data file contains no observations")

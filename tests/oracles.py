@@ -440,17 +440,19 @@ def _float_rows(reader):
         duplicate = next(v for v in variables if variables.count(v) > 1)
         raise InputError(f"line 1: duplicate column {duplicate!r} in the header")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(variables):
-            raise InputError(f"line {lineno}: expected {len(variables)} fields")
+            raise InputError(f"line {reader.line_num}: expected {len(variables)} fields")
         try:
             values = [float(v) for v in row]
         except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {reader.line_num}: {exc}") from None
         for name, value in zip(variables, values):
             if not np.isfinite(value):
-                raise InputError(f"line {lineno}: non-finite value {value} in column {name!r}")
+                raise InputError(
+                    f"line {reader.line_num}: non-finite value {value} in column {name!r}"
+                )
         rows.append(values)
     return variables, rows

@@ -12,6 +12,7 @@ from admgci import (
     Admg,
     CapacityError,
     build_collapsed_ordering,
+    fixture_graph,
     format_graph,
     reduced_basis,
     reduced_local_markov,
@@ -106,6 +107,32 @@ class TestAgainstOracles:
             g = bidirected_chain(n)
             assert collapsed_ordering_reference(g) == chain_ordering(n)
             assert build_collapsed_ordering(g) == chain_ordering(n)
+
+
+def assert_positions_follow_the_order(g: Admg) -> None:
+    order = g.topological_ordering()
+    assert len(g._position) == len(order)
+    for i, v in enumerate(order):
+        assert g._position[v] == i
+    for tail, head in g.directed_edges:
+        assert g._position[tail] < g._position[head]
+
+
+class TestTopologicalPositions:
+    """The position map m-separation prunes by is the topological order."""
+
+    @pytest.mark.parametrize("name", ["figure1", "figure2", "figure3"])
+    def test_fixtures(self, name):
+        assert_positions_follow_the_order(fixture_graph(name))
+
+    def test_random_graphs_with_mixed_cycles(self):
+        graphs = oracle_graphs(seed=51, count=300, max_vertices=10)
+        cyclic = [g for g in graphs if g.has_mixed_directed_cycle()]
+        rng = np.random.default_rng(52)
+        cyclic += [random_sparse_admg(rng, n) for n in (50, 200, 1000)]
+        assert len(cyclic) > 100 and all(g.has_mixed_directed_cycle() for g in cyclic)
+        for g in cyclic:
+            assert_positions_follow_the_order(g)
 
 
 def sides(statements):

@@ -157,6 +157,58 @@ class TestBeyondSmallGraphs:
                 answers.append(expected)
         assert 100 < sum(answers) < len(answers) - 100
 
+    def test_no_down_visit_past_the_last_member_of_y_and_z(self):
+        # the pass stops descending past the last member of y | z in the
+        # topological order; it must still see a collider at that member, or
+        # one whose descendant there is in z
+        rng = np.random.default_rng(23)
+        answers = {"early y and z": [], "collider below z": [], "random": []}
+        for n in [50, 100, 200, 500] * 4:
+            g = random_sparse_admg(rng, n)
+            order = g.topological_ordering()
+            position = {v: i for i, v in enumerate(order)}
+            quarter = n // 4
+            queries = []
+            for _ in range(10):
+                early = list(rng.choice(order[:quarter], size=5, replace=False))
+                ky = int(rng.integers(1, 3))
+                x = list(rng.choice(order[-quarter:], size=int(rng.integers(1, 3)), replace=False))
+                z = [v for v in early[ky:] if rng.random() < 0.6]
+                queries.append(("early y and z", x, early[:ky], z))
+            colliders = [v for v in order if len(g._parents[v]) + len(g._spouses[v]) > 1]
+            for c in rng.choice(colliders, size=10):
+                a, b = rng.choice(g._parents[c] + g._spouses[c], size=2, replace=False)
+                d = str(rng.choice(sorted(g.descendants([c]) - {a, b})))
+                if position[b] > position[d]:
+                    a, b = b, a
+                if position[b] > position[d]:
+                    continue
+                # x is a or an ancestor of a, which then may be blocked at a
+                x = str(rng.choice(sorted(g.ancestors([a]) - {b, d})))
+                z = [d] + [
+                    v for v in order[: position[d]] if v not in (x, a, b) and rng.random() < 0.02
+                ]
+                if x != a and position[a] < position[d] and rng.random() < 0.5:
+                    z.append(a)
+                queries.append(("collider below z", [x], [b], sorted(set(z))))
+            for _ in range(10):
+                x, y, rest = _random_query(rng, g)
+                queries.append(("random", x, y, [v for v in rest if rng.random() < 0.1]))
+            for kind, x, y, z in queries:
+                expected = m_separated_latent_moral(g, x, y, z)
+                assert m_separated(g, x, y, z) == expected, (kind, n, x, y, z)
+                answers[kind].append(expected)
+        for kind, seen in answers.items():
+            assert 0 < sum(seen) < len(seen), kind
+
+    def test_collider_with_its_descendant_last_in_z(self):
+        # a -> c <- b, c -> d: d is the last member of y | z, and the pass
+        # must walk down to it from the collider c
+        g = Admg(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("c", "d")])
+        assert g.topological_ordering()[-1] == "d"
+        assert not m_separated(g, ["a"], ["b"], ["d"])
+        assert m_separated(g, ["a"], ["b"], [])
+
     def test_latent_moralization_oracle_matches_bruteforce(self):
         # the oracle itself, checked where the path enumeration can run
         rng = np.random.default_rng(22)

@@ -26,6 +26,7 @@ from admgci import (
 from admgci import CiStatement, PartialCorrTest, sem
 from admgci import test_plan as build_test_plan
 from conftest import random_admg
+from oracles import csv_by_rows
 
 
 class TestParameters:
@@ -308,6 +309,23 @@ class TestSimulate:
         path.write_text("x,y\n" + body)
         with pytest.raises(InputError, match=f"line {line}: non-finite value {cell} "):
             DataTable.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('"1\n",2\n3,x\n', "line 4: could not convert string to float: 'x'"),
+            ('"1\n\n",2\n3,nan\n', "line 5: non-finite value nan in column 'b'"),
+        ],
+    )
+    @pytest.mark.parametrize("read", [DataTable.from_csv, csv_by_rows], ids=["program", "oracle"])
+    def test_csv_errors_name_the_line_after_a_cell_over_several_lines(
+        self, tmp_path, read, body, message
+    ):
+        # csv counts records, not lines: a quoted cell may hold line breaks
+        path = tmp_path / "multiline.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            read(path)
 
 
 class TestPlans:
