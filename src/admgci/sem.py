@@ -93,11 +93,7 @@ def partial_correlation(
 ) -> float:
     """Partial correlation of ``x`` and ``y`` given a set, from the precision
     of the restricted covariance."""
-    given = frozenset(given)
-    if x == y or x in given or y in given:
-        raise InputError("partial correlation needs distinct x, y outside the given set")
-    names = [x, y, *sorted(given)]
-    sub = sigma.submatrix(names)
+    sub = sigma.submatrix(_query_names(x, y, given))
     try:
         np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:
@@ -105,6 +101,15 @@ def partial_correlation(
             "restricted covariance is not positive definite; cannot form the precision"
         ) from None
     return _partial_correlation_of(sub)
+
+
+def _query_names(x: str, y: str, given: Collection[str]) -> list[str]:
+    """``[x, y, *sorted(given)]``, the variable order of a partial-correlation
+    query; raises :class:`InputError` unless x, y are distinct and outside ``given``."""
+    given = frozenset(given)
+    if x == y or x in given or y in given:
+        raise InputError("partial correlation needs distinct x, y outside the given set")
+    return [x, y, *sorted(given)]
 
 
 # random_parameters redraws an ill-conditioned implied covariance, at most
@@ -344,10 +349,10 @@ def sample_partial_correlation(
 ) -> float:
     """Sample analogue of :func:`partial_correlation`.
 
-    Raises :class:`NumericError` when the sample covariance is singular or the
-    result is not finite."""
-    names = [x, y, *sorted(frozenset(given))]
-    cols = np.column_stack([data.column(n) for n in names])
+    Raises :class:`InputError` for a query that :func:`partial_correlation`
+    rejects, and :class:`NumericError` when the sample covariance is singular
+    or the result is not finite."""
+    cols = np.column_stack([data.column(n) for n in _query_names(x, y, given)])
     return _partial_correlation_of(np.atleast_2d(np.cov(cols, rowvar=False, ddof=1)))
 
 

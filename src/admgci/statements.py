@@ -1,33 +1,28 @@
 """Conditional-independence statements.
 
 A statement asserts that the variables in ``x`` are jointly independent of
-the variables in ``y`` given the variables in ``z``. The symmetry axiom
-identifies a statement with its x/y swap, so equality and hashing go through
-a key that holds the two sides as an unordered pair; only display sorts. The
-as-constructed orientation is preserved for display: producers put the
-vertex a rule was applied to on the ``x`` side.
+the variables in ``y`` given the variables in ``z``. It is a named tuple of
+three frozensets. The symmetry axiom identifies a statement with its x/y
+swap, so equality and hashing treat the two sides as an unordered pair, and
+a statement never equals a plain tuple; tuple ``<`` is positional, so sort
+statements with a key. Display keeps the as-constructed orientation:
+producers put the vertex a rule was applied to on the ``x`` side.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Collection, Iterable
 
 from .errors import InputError
 
 
-class CiStatement:
-    """A triple (x, z, y) of disjoint vertex sets, read "x independent of y given z".
+class CiStatement(namedtuple("CiStatement", "x z y")):
+    """A triple (x, z, y) of disjoint frozensets, read "x independent of y given z"."""
 
-    Immutable: its fields are set once, in the constructor.
-    """
+    __slots__ = ()
 
-    __slots__ = ("x", "z", "y", "_key")
-
-    x: frozenset[str]
-    z: frozenset[str]
-    y: frozenset[str]
-
-    def __init__(self, x: Collection[str], z: Collection[str], y: Collection[str]):
+    def __new__(cls, x: Collection[str], z: Collection[str], y: Collection[str]):
         if isinstance(x, str) or isinstance(z, str) or isinstance(y, str):
             raise InputError("expected a collection of vertex names, got a bare string")
         fx, fz, fy = frozenset(x), frozenset(z), frozenset(y)
@@ -35,28 +30,27 @@ class CiStatement:
             raise InputError("a CI statement needs non-empty sets on both independence sides")
         if not (fx.isdisjoint(fy) and fx.isdisjoint(fz) and fy.isdisjoint(fz)):
             raise InputError("the three sets of a CI statement must be pairwise disjoint")
-        setter = object.__setattr__
-        setter(self, "x", fx)
-        setter(self, "z", fz)
-        setter(self, "y", fy)
-        setter(self, "_key", (frozenset((fx, fy)), fz))
+        return tuple.__new__(cls, (fx, fz, fy))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CiStatement")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable CiStatement")
-
-    def __reduce__(self):
-        return CiStatement, (self.x, self.z, self.y)
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which would skip the checks
+        return cls(*iterable)
 
     def __eq__(self, other: object) -> bool:
+        # False, not NotImplemented: tuple's reflected == would compare fields
         if not isinstance(other, CiStatement):
-            return NotImplemented
-        return self._key == other._key
+            return False
+        x, z, y = self
+        ox, oz, oy = other
+        return z == oz and (x == ox and y == oy or x == oy and y == ox)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        x, z, y = self
+        return hash((hash(x) ^ hash(y), z))
 
     def render(self) -> str:
         """Text form, members in lexicographic order: ``I({a} ; {d} ; {e})``."""

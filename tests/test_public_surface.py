@@ -1,7 +1,9 @@
 """The package's public names: the ones the benchmark reads or wraps still
-resolve, and the test-only wrappers stay gone."""
+resolve, the test-only wrappers stay gone, and the README's example runs."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +113,12 @@ def test_names_the_benchmark_reads_resolve(name):
 )
 def test_names_the_benchmark_traces_resolve(owner, attr):
     assert callable(getattr(owner, attr))
+
+
+def test_readme_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert len(namespace["basis"].statements) == 3
+    assert namespace["report"].passed is True

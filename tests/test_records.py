@@ -59,12 +59,34 @@ def test_equal_fields_give_equal_values_and_hashes(kind):
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    # the copies keep the as-constructed x/y orientation of every statement
+    assert repr(copy.copy(a)) == repr(pickle.loads(pickle.dumps(a))) == repr(a)
 
 
 def test_different_fields_compare_unequal():
     assert PrunedStatement(st("a", "d", "e"), 0) != PrunedStatement(st("a", "d", "e"), 1)
     assert PartialCorrTest("a", "e", frozenset(), 0) != PartialCorrTest("a", "e", frozenset("d"), 0)
     assert st("a", "d", "e") != st("a", "", "e")
+
+
+@pytest.mark.parametrize("plain", [tuple(st("a", "d", "e")), tuple(st("e", "d", "a"))])
+def test_statement_never_equals_a_plain_tuple(plain):
+    statement = st("a", "d", "e")
+    assert statement != plain and plain != statement
+    assert not (statement == plain or plain == statement)
+
+
+def test_statement_unpacks_and_validates_replace_and_make():
+    statement = st("ab", "d", "e")
+    x, z, y = statement
+    assert (x, z, y) == (frozenset("ab"), frozenset("d"), frozenset("e"))
+    assert statement._replace(z=()).render() == "I({a,b} ; {} ; {e})"
+    with pytest.raises(InputError, match="pairwise disjoint"):
+        statement._replace(y=statement.x)
+    with pytest.raises(InputError, match="pairwise disjoint"):
+        CiStatement._make((x, z, x))
+    with pytest.raises(InputError, match="non-empty sets"):
+        CiStatement._make((x, z, ()))
 
 
 def test_basis_with_mismatched_provenance_raises():

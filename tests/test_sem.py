@@ -200,6 +200,15 @@ class TestPartialCorrelation:
         with pytest.raises(NumericError):
             partial_correlation(Covariance(("x", "y"), np.array([[1.0, 2.0], [2.0, 1.0]])), "x", "y")
 
+    @pytest.mark.parametrize("x, y, given", [("a", "a", ()), ("a", "b", ["a"]), ("a", "b", ["b", "d"])])
+    def test_population_and_sample_reject_the_same_queries(self, figure2, x, y, given):
+        p = random_parameters(figure2, 5)
+        sigma = implied_covariance(figure2, p)
+        data = simulate(figure2, p, 50, seed=1)
+        for fn, value in ((partial_correlation, sigma), (sample_partial_correlation, data)):
+            with pytest.raises(InputError, match="distinct x, y outside the given set"):
+                fn(value, x, y, given)
+
     def test_exact_zero_iff_separated_on_random_graphs(self, monkeypatch):
         monkeypatch.setattr(sem, "MAX_CONDITION", 1e6)
         rng = np.random.default_rng(51)
@@ -214,6 +223,8 @@ class TestPartialCorrelation:
                         rho = partial_correlation(sigma, x, y, z)
                         if m_separated_bruteforce(g, [x], [y], z):
                             assert abs(rho) < 1e-9, (repr(g), x, y, z, rho)
+                        else:  # generic parameters are faithful
+                            assert abs(rho) > 1e-6, (repr(g), x, y, z, rho)
 
 
 class TestSimulate:
