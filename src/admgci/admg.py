@@ -3,9 +3,10 @@
 An ADMG has a set of vertices, a set of directed edges whose directed part is
 acyclic, and a set of bi-directed edges. A pair of vertices may carry both a
 directed and a bi-directed edge. Graphs are immutable: each fact that takes
-one O(V+E) pass is derived in the constructor, and only per-vertex ancestor
-and descendant sets are cached on first use, so instances are safe to share
-between threads.
+one O(V+E) pass is derived in the constructor, and three per-vertex facts
+are cached on first use: the ancestor set, the descendant set and the
+reduced-form statement, the very object the basis returns, which the graph
+keeps alive as long as it lives. Instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class Admg:
     acyclicity check, and each vertex's position in it; the districts; and
     the strongly connected components of the mixed graph (directed edges
     forward, bi-directed edges both ways), with the *cyclic* ones that hold a
-    directed edge. Ancestor and descendant closures are cached per vertex on
-    first use.
+    directed edge. The ancestor and descendant closures and the reduced-form
+    statement (``markov._reduced_statement``) are cached per vertex on first
+    use.
 
     Parameters
     ----------
@@ -139,9 +141,10 @@ class Admg:
         self._cyclic = frozenset(scc[t] for t, h in dir_edges if scc[t] == scc[h])
         self._hash = hash((self._vertices, self._directed, self._bidirected))
 
-        # lazy caches; safe because the graph never mutates
+        # lazy per-vertex caches; safe because the graph never mutates
         self._an_cache: dict[str, frozenset[str]] = {}
         self._de_cache: dict[str, frozenset[str]] = {}
+        self._reduced_cache: dict = {}  # vertex -> CiStatement | None
 
     # --- identity -----------------------------------------------------------
 

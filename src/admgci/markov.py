@@ -175,12 +175,16 @@ def ordered_local_markov(g: Admg, ordering: Iterable[str]) -> list[CiStatement]:
 # --- the reduced (one statement per vertex) property --------------------------
 
 
-def _reduced_statement(g: Admg, x: str, all_v: frozenset[str]) -> CiStatement | None:
-    """I(x ; all_v - pa(x) - de({x} | sp(x)) | pa(x)), or ``None`` when that
-    side is empty; ``all_v`` is the vertex set of ``g``."""
+def _reduced_statement(g: Admg, x: str) -> CiStatement | None:
+    """I(x ; V - pa(x) - de({x} | sp(x)) | pa(x)), or ``None`` when that side
+    is empty; derived once per graph and vertex, so every caller gets the one
+    object (a racing thread's duplicate is dropped by ``setdefault``)."""
+    cache = g._reduced_cache
+    if x in cache:
+        return cache[x]
     de = (g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x]))
-    indep = all_v.difference(g._parents[x], *de)
-    return CiStatement((x,), g._parents[x], indep) if indep else None
+    indep = g._vset.difference(g._parents[x], *de)
+    return cache.setdefault(x, CiStatement((x,), g._parents[x], indep) if indep else None)
 
 
 def reduced_local_markov(g: Admg) -> list[CiStatement]:
@@ -195,7 +199,7 @@ def reduced_local_markov(g: Admg) -> list[CiStatement]:
             "graph has a mixed directed cycle; the one-statement-per-vertex "
             "form does not apply - use reduced_basis() instead"
         )
-    statements = (_reduced_statement(g, x, g._vset) for x in g.vertices)
+    statements = (_reduced_statement(g, x) for x in g.vertices)
     return dedupe(st for st in statements if st is not None)
 
 
@@ -364,7 +368,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
     pos = {v: i for i, v in enumerate(order)}
     for i, x in enumerate(order):
         if _reduced_form_applies(g, x, pos):
-            stmt = _reduced_statement(g, x, g._vset)
+            stmt = _reduced_statement(g, x)
             if stmt is not None:
                 emit(stmt, REDUCED_FORM)
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -19,6 +20,17 @@ import numpy as np
 
 from .admg import Admg
 from .errors import GenerationError, InputError, NumericError, file_error
+
+
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; numpy integers pass."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if i < least:
+        raise InputError(f"{what} must be at least {least}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def random_parameters(g: Admg, seed: int) -> SemParameters:
     implied covariance is ill-conditioned (> ``MAX_CONDITION``) are rejected
     and redrawn, up to ``MAX_DRAWS`` draws in all.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     for _ in range(MAX_DRAWS):
         coefficients = {}
         for edge in sorted(g.directed_edges):
@@ -301,11 +313,10 @@ def _read_rows(reader, variables: tuple[str, ...]) -> np.ndarray:
 def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
     """``n`` i.i.d. draws from the implied normal distribution, deterministic
     in ``seed``; columns in lexicographic vertex order."""
-    if n < 1:
-        raise InputError("sample count must be at least 1")
+    n = _integer(n, "sample count", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     sigma = implied_covariance(g, params)
     chol = np.linalg.cholesky(sigma.matrix)
-    rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n, len(sigma.variables))) @ chol.T
     columns = tuple(g.vertices)
     permutation = [sigma.variables.index(v) for v in columns]

@@ -9,9 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-from admgci import Admg, m_separated, maximal_ancestral_sets, reduced_basis
+from admgci import (
+    Admg,
+    InputError,
+    m_separated,
+    maximal_ancestral_sets,
+    reduced_basis,
+    reduced_local_markov,
+)
 from admgci.markov import _reduced_statement
-from conftest import random_admg, random_sparse_admg
+from conftest import district_chain_admg, random_admg, random_sparse_admg
 
 
 def test_shared_graph_queries_are_thread_safe():
@@ -40,10 +47,18 @@ def test_shared_graph_queries_are_thread_safe():
             assert sets == sequential_sets
 
 
+def reduced_local_or_error(g: Admg):
+    try:
+        return reduced_local_markov(g)
+    except InputError as exc:
+        return str(exc)
+
+
 def test_cold_graph_first_queries_from_eight_threads():
-    # m-separation reads only maps the constructor built, while the ancestor
-    # and descendant caches are filled by whichever call comes first; on a
-    # fresh graph, eight threads make their first calls at the same moment
+    # m-separation reads only maps the constructor built, while the ancestor,
+    # descendant and reduced-statement caches are filled by whichever call
+    # comes first; on a fresh graph, eight threads make their first calls at
+    # the same moment
     rng = np.random.default_rng(71)
     template = random_sparse_admg(rng, 300)
     queries = []
@@ -54,20 +69,42 @@ def test_cold_graph_first_queries_from_eight_threads():
     sequential = [m_separated(template, *q) for q in queries]
     assert 0 < sum(sequential) < len(queries)
     probes = list(template.vertices[::7])
-    reduced = [_reduced_statement(template, v, template._vset) for v in probes]
+    reduced = [_reduced_statement(template, v) for v in probes]
     ancestors = [template.ancestors([v]) for v in probes]
+    # the basis and the reduced local property on the graph, which has a
+    # mixed directed cycle, and on one without
+    calm = district_chain_admg(rng, 300)
+    assert template.has_mixed_directed_cycle() and not calm.has_mixed_directed_cycle()
+    bases = [reduced_basis(t) for t in (template, calm)]
+    local = [reduced_local_or_error(t) for t in (template, calm)]
+    assert isinstance(local[0], str) and isinstance(local[1], list)
 
     def worker(shift):
         barrier.wait()
         order = queries[shift:] + queries[:shift]
         answers = [m_separated(cold, *q) for q in order]
         turn = probes[shift:] + probes[:shift]
-        got_reduced = {v: _reduced_statement(cold, v, cold._vset) for v in turn}
+        got_reduced = {v: _reduced_statement(cold, v) for v in turn}
         got_ancestors = {v: cold.ancestors([v]) for v in reversed(turn)}
+        # half the workers fill the reduced-statement caches from the basis,
+        # half from the reduced local property
+        graphs = (cold, cold_calm)
+        if shift % 10:
+            got_local = [reduced_local_or_error(c) for c in graphs]
+            got_bases = [reduced_basis(c) for c in graphs]
+        else:
+            got_bases = [reduced_basis(c) for c in graphs]
+            got_local = [reduced_local_or_error(c) for c in graphs]
+        # on the cycle-free graph the basis is all reduced-form statements,
+        # each the very object the reduced local property returned
+        shared = {id(st) for st in got_local[1]}
+        assert all(id(st) in shared for st in got_bases[1].statements)
         return (
             answers[len(queries) - shift :] + answers[: len(queries) - shift],
             [got_reduced[v] for v in probes],
             [got_ancestors[v] for v in probes],
+            got_bases,
+            got_local,
         )
 
     interval = sys.getswitchinterval()
@@ -75,12 +112,16 @@ def test_cold_graph_first_queries_from_eight_threads():
     try:
         for _ in range(5):
             cold = Admg(template.vertices, template.directed_edges, template.bidirected_edges)
+            cold_calm = Admg(calm.vertices, calm.directed_edges, calm.bidirected_edges)
             barrier = threading.Barrier(8, timeout=60)
             with ThreadPoolExecutor(max_workers=8) as pool:
-                for answers, got_reduced, got_ancestors in pool.map(worker, range(0, 40, 5)):
+                results = pool.map(worker, range(0, 40, 5))
+                for answers, got_reduced, got_ancestors, got_bases, got_local in results:
                     assert answers == sequential
                     assert got_reduced == reduced
                     assert got_ancestors == ancestors
+                    assert got_bases == bases
+                    assert got_local == local
     finally:
         sys.setswitchinterval(interval)
 

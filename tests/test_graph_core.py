@@ -11,6 +11,7 @@ from admgci import (
     REDUCED_FORM,
     Admg,
     CapacityError,
+    InputError,
     build_collapsed_ordering,
     fixture_graph,
     format_graph,
@@ -153,6 +154,81 @@ class TestReducedStatementsAtScale:
         assert set(basis.provenance) == {REDUCED_FORM} and not basis.pruned
         assert sides(basis.statements) == sides(reduced_statements_by_bfs(g, basis.ordering))
         assert sides(reduced_local_markov(g)) == sides(reduced_statements_by_bfs(g, g.vertices))
+
+
+def fresh(g: Admg) -> Admg:
+    """An equal graph with empty caches."""
+    return Admg(g.vertices, g.directed_edges, g.bidirected_edges)
+
+
+def basis_and_local(g: Admg, local_first: bool):
+    """``reduced_basis(g)`` and ``reduced_local_markov(g)`` in the given order,
+    each as sides (or the error message), so orientation counts too."""
+
+    def local():
+        try:
+            return sides(reduced_local_markov(g))
+        except InputError as exc:
+            return str(exc)
+
+    got_local = local() if local_first else None
+    basis = reduced_basis(g)
+    pruned = [(sides([p.statement]), p.implied_by) for p in basis.pruned]
+    got_basis = (basis.ordering, sides(basis.statements), basis.provenance, pruned)
+    return got_basis, got_local if local_first else local()
+
+
+def cycle_free_graphs():
+    """100 small random graphs without a mixed directed cycle and 50 district
+    chains of up to 120 vertices."""
+    small = oracle_graphs(seed=53, count=400, max_vertices=9)
+    graphs = [g for g in small if not g.has_mixed_directed_cycle()][:100]
+    rng = np.random.default_rng(53)
+    graphs += [district_chain_admg(rng, int(rng.integers(5, 120))) for _ in range(50)]
+    assert len(graphs) == 150
+    return graphs
+
+
+class TestSharedReducedStatements:
+    """A graph derives each vertex's reduced-form statement once: the basis
+    and the reduced local property read the same objects, in either order."""
+
+    @pytest.mark.parametrize("local_first", [False, True])
+    def test_either_order_matches_a_fresh_graph(self, local_first):
+        graphs = [fixture_graph(name) for name in ("figure1", "figure2", "figure3")]
+        for g in graphs + cycle_free_graphs():
+            reference = basis_and_local(fresh(g), False)[0], basis_and_local(fresh(g), True)[1]
+            assert basis_and_local(g, local_first) == reference, repr(g)
+
+    def test_basis_returns_the_reduced_local_objects(self):
+        same = 0
+        for g in [fixture_graph("figure2"), *cycle_free_graphs()]:
+            local = reduced_local_markov(g)
+            equal = dict(zip(local, local))
+            basis = reduced_basis(g)
+            for st, tag in zip(basis.statements, basis.provenance):
+                if tag == REDUCED_FORM:
+                    match = equal[st]
+                    # twins I(a ; b | Z) of a and I(b ; a | Z) of b are equal,
+                    # and each list may keep a different one of the two
+                    assert match is st or match.x != st.x, repr(g)
+                    same += match is st
+        assert same > 2000
+
+    def test_mixed_cycle_still_rejected_after_the_basis(self):
+        graphs = [fixture_graph("figure1"), fixture_graph("figure3")]
+        small = oracle_graphs(seed=54, count=300, max_vertices=9)
+        graphs += [g for g in small if g.has_mixed_directed_cycle()]
+        rng = np.random.default_rng(54)
+        graphs += [random_sparse_admg(rng, n) for n in (50, 200)]
+        assert len(graphs) > 100
+        filled = 0
+        for g in graphs:
+            reduced_basis(g)
+            filled += bool(g._reduced_cache)
+            with pytest.raises(InputError, match="mixed directed cycle"):
+                reduced_local_markov(g)
+        assert filled > 100
 
 
 def long_chain_with_bow() -> Admg:

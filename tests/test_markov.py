@@ -279,21 +279,20 @@ class TestReducedLocal:
     # statement leaves out of its independence side
 
     def test_reduced_scope_figure2(self, figure2):
-        vs = frozenset(figure2.vertices)  # the scope of a is {a, b, c, d}
-        assert _reduced_statement(figure2, "a", vs) == CiStatement(["a"], ["d"], ["e"])
+        # the scope of a is {a, b, c, d}
+        assert _reduced_statement(figure2, "a") == CiStatement(["a"], ["d"], ["e"])
 
     def test_reduced_scope_dag_vertex(self):
         g = Admg(["w", "x", "y", "z"], [("x", "y"), ("y", "z")])
         vs = frozenset(g.vertices)
         rest = vs - g.parents(["y"]) - g.descendants(["y"])
-        assert _reduced_statement(g, "y", vs) == CiStatement(["y"], ["x"], rest)
+        assert _reduced_statement(g, "y") == CiStatement(["y"], ["x"], rest)
         assert rest == {"w"}
 
     def test_reduced_scope_pure_bidirected(self):
         g = Admg(["x", "y", "z"], bidirected=[("x", "y"), ("y", "z")])
-        vs = frozenset(g.vertices)
-        assert _reduced_statement(g, "y", vs) is None  # the scope is {x, y, z}
-        assert _reduced_statement(g, "x", vs) == CiStatement(["x"], [], ["z"])
+        assert _reduced_statement(g, "y") is None  # the scope is {x, y, z}
+        assert _reduced_statement(g, "x") == CiStatement(["x"], [], ["z"])
 
     def test_figure2_matches_three_statement_list(self, figure2):
         assert reduced_local_markov(figure2) == expected.FIGURE2_REDUCED
@@ -379,10 +378,9 @@ class TestPruningConditions:
         for _ in range(60):
             g = random_admg(rng, int(rng.integers(2, 9)))
             order = build_collapsed_ordering(g)
-            vs = frozenset(g.vertices)
             for x in order:
                 if _reduced_form_applies(g, x, positions(order)):
-                    stmt = _reduced_statement(g, x, vs)
+                    stmt = _reduced_statement(g, x)
                     if stmt is not None:
                         assert m_separated(g, [x], stmt.y, stmt.z), (repr(g), x)
 

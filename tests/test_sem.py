@@ -47,6 +47,14 @@ class TestParameters:
         assert random_parameters(figure2, 5) == random_parameters(figure2, 5)
         assert random_parameters(figure2, 5) != random_parameters(figure2, 6)
 
+    @pytest.mark.parametrize("seed,message", [(-1, "at least 0"), (1.5, "an integer")])
+    def test_seed_must_be_a_nonnegative_integer(self, figure2, seed, message):
+        with pytest.raises(InputError, match=f"seed must be {message}"):
+            random_parameters(figure2, seed)
+
+    def test_numpy_integer_seed(self, figure2):
+        assert random_parameters(figure2, np.int64(5)) == random_parameters(figure2, 5)
+
     def test_pinned_draw(self, figure2):
         # a change in the order of the draws changes every one of these
         # values; the tolerance only absorbs rounding between BLAS builds
@@ -239,6 +247,20 @@ class TestSimulate:
         assert not np.array_equal(t1.values, t3.values)
         single = simulate(figure2, p, 1, seed=0)
         assert single.values.shape == (1, 5)
+
+    @pytest.mark.parametrize(
+        "n,seed,message",
+        [(10, -3, "seed must be at least 0"), (2.5, 0, "sample count must be an integer")],
+    )
+    def test_count_and_seed_must_be_integers(self, figure2, n, seed, message):
+        p = random_parameters(figure2, 6)
+        with pytest.raises(InputError, match=message):
+            simulate(figure2, p, n, seed)
+
+    def test_numpy_integer_count_and_seed(self, figure2):
+        p = random_parameters(figure2, 6)
+        got = simulate(figure2, p, np.int32(20), np.uint8(9))
+        assert np.array_equal(got.values, simulate(figure2, p, 20, 9).values)
 
     def test_sample_covariance_approaches_implied(self, figure2):
         p = random_parameters(figure2, 7)
