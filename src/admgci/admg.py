@@ -78,6 +78,9 @@ class Admg:
 
         dir_edges: set[tuple[str, str]] = set()
         for edge in directed:
+            if isinstance(edge, (set, frozenset)):  # its order rests on the hash seed
+                members = ", ".join(sorted(map(repr, edge)))
+                raise InputError(f"directed edge {{{members}}} is a set: give a (tail, head) pair")
             tail, head = _pair(edge, "directed")
             if tail not in vset or head not in vset:
                 raise InputError(f"directed edge ({tail!r}, {head!r}) uses an undeclared vertex")

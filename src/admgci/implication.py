@@ -19,7 +19,7 @@ found by symmetry, decomposition and weak union.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Iterable
 
 from .errors import CapacityError, InputError
@@ -89,7 +89,7 @@ def _saturate(
     wanted = set(targets)
     seen: set[int] = set()
     triples: list[tuple[int, int, int]] = []
-    queue: deque[tuple[int, int, int]] = deque()
+    head = 0  # the worklist is triples[head:]
     # popped statements, both orientations, keyed by x << n | z and x << n | z∪y
     by_xz: dict[int, list[int]] = defaultdict(list)
     by_xu: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -109,7 +109,6 @@ def _saturate(
                 f"the closure over {n} vertices found "
                 f"{len(triples)} statements, over its budget of {CLOSURE_BUDGET}"
             )
-        queue.append((x, z, y))
         return False
 
     for st in seed:
@@ -118,8 +117,9 @@ def _saturate(
         if w not in seen and add(w, x, z, y):
             return triples, wanted
 
-    while queue:
-        x0, z, y0 = queue.popleft()
+    while head < len(triples):
+        x0, z, y0 = triples[head]
+        head += 1
         for x, y in ((x0, y0), (y0, x0)):
             xz = x << n | z
             # decomposition and weak union, one member of y at a time; what

@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Sequence
 from functools import partial
 
 import numpy as np
@@ -33,14 +33,12 @@ def _integer(value, what: str, least: int) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class SemParameters:
+class SemParameters(namedtuple("SemParameters", "coefficients error_variances error_covariances")):
     """Path coefficients per directed edge and an error covariance whose
-    support is exactly the diagonal plus the bi-directed edges."""
+    support is exactly the diagonal plus the bi-directed edges: mappings to
+    floats keyed by ``(tail, head)``, by vertex and by edge (a frozenset)."""
 
-    coefficients: Mapping[tuple[str, str], float]
-    error_variances: Mapping[str, float]
-    error_covariances: Mapping[frozenset[str], float]
+    __slots__ = ()
 
     def validate(self, g: Admg) -> None:
         if set(self.coefficients) != set(g.directed_edges):
@@ -54,21 +52,16 @@ class SemParameters:
                 raise InputError(f"error variance of {v} must be positive")
 
 
-@dataclass(frozen=True)
-class Covariance:
-    """A covariance matrix with named rows/columns."""
+class Covariance(namedtuple("Covariance", "variables matrix")):
+    """A covariance matrix, a numpy array, with rows and columns named by ``variables``."""
 
-    variables: tuple[str, ...]
-    matrix: np.ndarray
-
-    def index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise InputError(f"unknown variable {name!r}") from None
+    __slots__ = ()
 
     def submatrix(self, names: Sequence[str]) -> np.ndarray:
-        idx = [self.index(n) for n in names]
+        for name in names:
+            if name not in self.variables:
+                raise InputError(f"unknown variable {name!r}")
+        idx = [self.variables.index(n) for n in names]
         return self.matrix[np.ix_(idx, idx)]
 
 
@@ -80,7 +73,7 @@ def implied_covariance(g: Admg, params: SemParameters) -> Covariance:
     order = g.topological_ordering()
     params.validate(g)
     n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = g._position
     coeff = np.zeros((n, n))
     for (tail, head), c in params.coefficients.items():
         coeff[pos[head], pos[tail]] = c
@@ -93,8 +86,7 @@ def implied_covariance(g: Admg, params: SemParameters) -> Covariance:
         omega[pos[v], pos[u]] = cov
     if np.linalg.eigvalsh(omega).min() <= 0:
         raise InputError("error covariance is not positive definite")
-    a = np.eye(n) - coeff
-    inv_a = np.linalg.solve(a, np.eye(n))
+    inv_a = np.linalg.solve(np.eye(n) - coeff, np.eye(n))
     sigma = inv_a @ omega @ inv_a.T
     sigma = (sigma + sigma.T) / 2
     return Covariance(order, sigma)
@@ -198,12 +190,24 @@ def _error_block(rng: np.random.Generator, g: Admg, pos: dict[str, int]) -> np.n
     return None if (block[support] == 0.0).any() else block
 
 
-@dataclass(frozen=True)
-class DataTable:
-    """Observations in rows, one named column per vertex."""
+class DataTable(namedtuple("DataTable", "variables values")):
+    """Observations in rows, one named column per vertex: a tuple of distinct
+    names and a 2-D numpy array with one column per name."""
 
-    variables: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, variables, values):
+        if np.shape(values)[1:] != (len(variables),) or len(set(variables)) != len(variables):
+            raise InputError(
+                "data needs a 2-D array with one column per distinct name, got shape "
+                f"{np.shape(values)} for {tuple(variables)}"
+            )
+        return super().__new__(cls, variables, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which would skip the checks
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -318,29 +322,21 @@ def simulate(g: Admg, params: SemParameters, n: int, seed: int) -> DataTable:
     sigma = implied_covariance(g, params)
     chol = np.linalg.cholesky(sigma.matrix)
     draws = rng.standard_normal((n, len(sigma.variables))) @ chol.T
-    columns = tuple(g.vertices)
-    permutation = [sigma.variables.index(v) for v in columns]
-    return DataTable(columns, draws[:, permutation])
+    return DataTable(g.vertices, draws[:, [g._position[v] for v in g.vertices]])
 
 
-@dataclass(frozen=True)
-class TestResult:
-    test: PartialCorrTest
-    r: float | None
-    z: float | None
-    p: float | None
-    reject: bool
-    error: str | None = None
+class TestResult(namedtuple("TestResult", "test r z p reject error", defaults=(None,))):
+    """A planned :class:`PartialCorrTest` with floats ``r``, Fisher's ``z`` and ``p`` and the
+    bool ``reject``, or None, None, None, False and the ``error`` saying why it could not run."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Per-test Fisher-z outcomes plus the overall verdict."""
+class TestReport(namedtuple("TestReport", "results alpha correction n")):
+    """Per-test Fisher-z outcomes, a tuple of :class:`TestResult`, plus the
+    overall verdict at level ``alpha`` under the ``correction`` on ``n`` rows."""
 
-    results: tuple[TestResult, ...]
-    alpha: float
-    correction: str
-    n: int
+    __slots__ = ()
 
     @property
     def rejections(self) -> int:

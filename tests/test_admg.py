@@ -56,6 +56,18 @@ class TestConstruction:
             Admg(["a", "b", "c"], **{kind: edges})
         assert str(info.value) == f"{shown} is not a pair of vertex names"
 
+    @pytest.mark.parametrize("edge", [{"cd", "ab"}, frozenset(("cd", "ab"))])
+    def test_directed_edge_given_as_a_set_rejected(self, edge):
+        # which end a set yields first, and so the tail, rests on the hash seed
+        with pytest.raises(InputError) as info:
+            Admg(["ab", "cd"], directed=[edge])
+        assert str(info.value) == "directed edge {'ab', 'cd'} is a set: give a (tail, head) pair"
+
+    def test_bidirected_edges_given_as_sets_accepted(self):
+        g = Admg(["ab", "cd", "e"], bidirected=[{"cd", "ab"}, frozenset(("e", "ab"))])
+        assert Admg(g.vertices, bidirected=g.bidirected_edges) == g
+        assert g.spouses(["ab"]) == frozenset({"cd", "e"})
+
     def test_undeclared_endpoints_rejected(self):
         with pytest.raises(InputError, match="undeclared"):
             Admg(["x"], directed=[("x", "y")])

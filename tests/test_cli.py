@@ -431,6 +431,17 @@ def test_simulate_loads_no_statement_modules(tmp_path):
     report = module_report(["simulate", "figure2", "--n", "20", "--out", out])
     assert report["code"] == 0
     assert report["admgci"] == sorted(CORE + ["admgci.sem"])
+    assert "dataclasses" not in report["stdlib"]
+
+
+def test_sem_check_loads_no_dataclasses(tmp_path):
+    # every record of the package is a named tuple
+    data = str(tmp_path / "data.csv")
+    assert module_report(["simulate", "figure2", "--n", "200", "--out", data])["code"] == 0
+    report = module_report(["sem-check", "figure2", data])
+    assert report["code"] == 0
+    assert report["admgci"] == sorted(CORE + ["admgci.markov", "admgci.sem", "admgci.statements"])
+    assert "numpy" in report["stdlib"] and "dataclasses" not in report["stdlib"]
 
 
 def test_graph_file_subcommand_loads_no_annotation_or_resource_modules(tmp_path):

@@ -4,6 +4,7 @@ assignment after construction."""
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from admgci import (
@@ -13,6 +14,7 @@ from admgci import (
     PartialCorrTest,
     PrunedStatement,
     ReducedBasis,
+    sem,
 )
 
 
@@ -109,3 +111,72 @@ def test_statement_rejects_a_bare_string_side(side):
     sides[side] = "bd"
     with pytest.raises(InputError, match="got a bare string"):
         CiStatement(*sides)
+
+
+# the SEM records, reached through the module: pytest would try to collect a
+# class named Test... imported by bare name
+def sem_record(kind):
+    t = PartialCorrTest("a", "e", frozenset("d"), 0)
+    return {
+        "parameters": lambda: sem.SemParameters({("a", "b"): 0.5}, {"a": 1.0, "b": 2.0}, {}),
+        "covariance": lambda: sem.Covariance(("a", "b"), np.array([[1.0, 0.5], [0.5, 2.0]])),
+        "data": lambda: sem.DataTable(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]])),
+        "result": lambda: sem.TestResult(t, 0.5, 1.0, 0.25, False),
+        "report": lambda: sem.TestReport(
+            (sem.TestResult(t, None, None, None, False, "x"),), 0.05, "none", 3
+        ),
+    }[kind]()
+
+
+TEST = "PartialCorrTest(x='a', y='e', given=frozenset({'d'}), source_statement=0)"
+SEM_REPRS = {  # as the frozen dataclasses these records once were printed them
+    "parameters": "SemParameters(coefficients={('a', 'b'): 0.5}, "
+    "error_variances={'a': 1.0, 'b': 2.0}, error_covariances={})",
+    "covariance": "Covariance(variables=('a', 'b'), "
+    "matrix=array([[1. , 0.5],\n       [0.5, 2. ]]))",
+    "data": "DataTable(variables=('a', 'b'), values=array([[1., 2.],\n       [3., 4.]]))",
+    "result": f"TestResult(test={TEST}, r=0.5, z=1.0, p=0.25, reject=False, error=None)",
+    "report": f"TestReport(results=(TestResult(test={TEST}, r=None, z=None, p=None, "
+    "reject=False, error='x'),), alpha=0.05, correction='none', n=3)",
+}
+
+
+@pytest.mark.parametrize("kind", SEM_REPRS)
+def test_sem_records_keep_their_repr_and_pickle(kind):
+    record = sem_record(kind)
+    assert repr(record) == SEM_REPRS[kind]
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record) and repr(restored) == repr(record)
+
+
+@pytest.mark.parametrize("kind", SEM_REPRS)
+def test_sem_record_fields_cannot_be_set(kind):
+    record = sem_record(kind)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_test_result_error_defaults_to_none():
+    assert sem_record("result").error is None
+    assert sem.TestResult._field_defaults == {"error": None}
+
+
+def test_data_table_replace_checks_the_shape():
+    table = sem_record("data")
+    with pytest.raises(InputError, match="one column per distinct name"):
+        table._replace(values=np.ones((2, 3)))
+    with pytest.raises(InputError, match="one column per distinct name"):
+        table._replace(variables=("a", "a"))
+    with pytest.raises(InputError, match="one column per distinct name"):
+        sem.DataTable._make((("a",), table.values))
+    assert table._replace(variables=("b", "a")).column("b").tolist() == [1.0, 3.0]
+
+
+def test_covariance_submatrix_names_an_unknown_variable():
+    sigma = sem_record("covariance")
+    assert sigma.submatrix(["b", "a"]).tolist() == [[2.0, 0.5], [0.5, 1.0]]
+    with pytest.raises(InputError, match="unknown variable 'c'"):
+        sigma.submatrix(["a", "c"])

@@ -382,6 +382,29 @@ class TestPlans:
         assert len(plan) == 1
 
 
+class TestDataTableShape:
+    # at construction, so run_tests and sample_partial_correlation never
+    # index past a column or read the first of two equal names
+    ENTRY_POINTS = [
+        lambda t: run_tests(t, build_test_plan([CiStatement(["a"], ["b"], ["c"])])),
+        lambda t: sample_partial_correlation(t, "a", "c", ["b"]),
+    ]
+
+    @pytest.mark.parametrize("use", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "values", [np.ones((50, 2)), np.ones((50, 4)), np.ones(150), np.ones((50, 3, 1))]
+    )
+    def test_one_column_per_name(self, use, values):
+        with pytest.raises(InputError, match="one column per distinct name"):
+            use(DataTable(("a", "b", "c"), values))
+
+    @pytest.mark.parametrize("use", ENTRY_POINTS)
+    def test_distinct_names(self, use):
+        values = np.random.default_rng(0).normal(size=(50, 4))
+        with pytest.raises(InputError, match="one column per distinct name"):
+            use(DataTable(("a", "b", "c", "a"), values))
+
+
 class TestRunTests:
     def test_exact_zero_sample_correlation(self):
         # alternating columns have exactly zero sample correlation
