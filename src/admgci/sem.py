@@ -53,9 +53,23 @@ class SemParameters(namedtuple("SemParameters", "coefficients error_variances er
 
 
 class Covariance(namedtuple("Covariance", "variables matrix")):
-    """A covariance matrix, a numpy array, with rows and columns named by ``variables``."""
+    """A covariance matrix, a square 2-D numpy array, with rows and columns
+    named by ``variables``, a tuple of distinct names."""
 
     __slots__ = ()
+
+    def __new__(cls, variables, matrix):
+        if np.shape(matrix) != (len(variables),) * 2 or len(set(variables)) != len(variables):
+            raise InputError(
+                "a covariance needs a square 2-D array with one row per distinct name, "
+                f"got shape {np.shape(matrix)} for {tuple(variables)}"
+            )
+        return super().__new__(cls, variables, matrix)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which would skip the checks
+        return cls(*iterable)
 
     def submatrix(self, names: Sequence[str]) -> np.ndarray:
         for name in names:

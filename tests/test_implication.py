@@ -20,8 +20,14 @@ from admgci import (
 )
 from admgci import implication
 from admgci.implication import CLOSURE_BUDGET
-from conftest import district_chain_admg, random_admg
-from oracles import closure_round_robin
+from conftest import (
+    district_chain_admg,
+    random_admg,
+    random_bidirected_graph,
+    random_cycle_free_admg,
+    random_dag,
+)
+from oracles import all_subsets, closure_round_robin
 
 
 def random_statements(rng, vertices, count):
@@ -172,6 +178,70 @@ class TestClosureProperties:
                 assert m_separated(g, st.x, st.y, st.z), (repr(g), st.render())
 
 
+def decoded(universe, triples):
+    names = {}
+    for m in {m for t in triples for m in t}:
+        names[m] = frozenset(v for j, v in enumerate(universe.vertices) if m >> j & 1)
+    return {CiStatement(names[x], names[z], names[y]) for x, z, y in triples}
+
+
+class TestPairRows:
+    """Under composition ``closure`` is computed from the closure's pair
+    statements; ``_saturate`` derives every statement one at a time."""
+
+    def test_a_statement_holds_iff_each_of_its_pairs_holds(self):
+        # the lemma the pair rows rest on, checked on the independent oracle
+        rng = np.random.default_rng(46)
+        for _ in range(60):
+            g = random_admg(rng, int(rng.integers(3, 7)))
+            want = closure_round_robin(reduced_basis(g).statements, WITH_COMPOSITION)
+            pairs = {st for st in want if len(st.x) == len(st.y) == 1}
+            for st in want:
+                assert all(CiStatement([a], st.z, [b]) in pairs for a in st.x for b in st.y)
+            for zs in all_subsets(g.vertices):
+                rest = [v for v in g.vertices if v not in zs]
+                for xs in all_subsets(rest):
+                    for ys in all_subsets([v for v in rest if v not in xs]):
+                        if xs and ys and all(
+                            CiStatement([a], zs, [b]) in pairs for a in xs for b in ys
+                        ):
+                            assert CiStatement(xs, zs, ys) in want, repr(g)
+
+    def test_matches_the_statement_worklist(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        generators = (random_admg, random_cycle_free_admg, random_dag, random_bidirected_graph)
+        refused = 0
+        for k in range(500):
+            # rejection sampling makes cycle-free graphs of 8 or more vertices slow to draw
+            n = int(rng.integers(3, 8 if k % 4 == 1 else 10))
+            g = generators[k % 4](rng, n)
+            uni = StatementUniverse(g.vertices)
+            for seed in (reduced_basis(g).statements, random_statements(rng, list(g.vertices), 1)):
+                triples, _ = implication._saturate(uni, seed, WITH_COMPOSITION)
+                assert closure(uni, seed, WITH_COMPOSITION) == decoded(uni, triples), seed
+                # ``_saturate`` counts one statement at a time, so it refuses
+                # exactly the budgets below the closure's size: about half of these
+                budget = int(rng.integers(1, 2 * len(triples) + 2))
+                monkeypatch.setattr(implication, "CLOSURE_BUDGET", budget)
+                if budget < len(triples):
+                    refused += 1
+                    with pytest.raises(CapacityError, match=f"found {budget + 1} statements"):
+                        implication._pair_closure(uni, seed)
+                else:
+                    assert len(implication._pair_closure(uni, seed)) == len(triples)
+                monkeypatch.undo()
+        assert 300 < refused < 700
+
+    def test_each_statement_is_listed_once_with_the_least_vertex_on_x(self):
+        rng = np.random.default_rng(48)
+        for _ in range(40):
+            g = random_admg(rng, int(rng.integers(3, 8)))
+            uni = StatementUniverse(g.vertices)
+            triples = implication._pair_closure(uni, reduced_basis(g).statements)
+            assert len(decoded(uni, triples)) == len(triples)
+            assert all(x & -x < y & -y for x, _, y in triples)
+
+
 def sparse_dag_11():
     """An 11-vertex sparse DAG whose composition closure from its basis holds
     110 245 statements: edge i -> j for i < j with probability 0.25."""
@@ -213,6 +283,24 @@ class TestClosureBudget:
         assert implies_each(universe, basis, [target], WITH_COMPOSITION) == [True]
         with pytest.raises(CapacityError, match=f"found {k + 1} statements"):
             closure(universe, basis, WITH_COMPOSITION)
+
+    @pytest.mark.parametrize("composition", [SEMI_GRAPHOID, WITH_COMPOSITION])
+    def test_the_refusal_counts_one_statement_past_the_budget(self, monkeypatch, composition):
+        # under composition the budget is spent first on the pair statements,
+        # then on the listing; budgets below the pair count trip the first
+        g = Admg(["a", "b", "c", "d", "e"], [("a", "c"), ("b", "c"), ("c", "d")], [("d", "e")])
+        basis = reduced_basis(g).statements
+        universe = StatementUniverse(g.vertices)
+        closed = closure(universe, basis, composition)
+        pairs = sum(len(st.x) == len(st.y) == 1 for st in closed)
+        assert (pairs, len(closed)) == ((26, 43) if composition else (18, 28))
+        listing = (pairs, pairs + 1, (pairs + len(closed)) // 2, len(closed) - 1)
+        for budget in (1, 2, pairs // 2, pairs - 1, *listing):
+            monkeypatch.setattr(implication, "CLOSURE_BUDGET", budget)
+            with pytest.raises(CapacityError, match=f"found {budget + 1} statements"):
+                closure(universe, basis, composition)
+        monkeypatch.setattr(implication, "CLOSURE_BUDGET", len(closed))
+        assert closure(universe, basis, composition) == closed
 
     def test_targets_are_matched_only_against_statements_that_may_entail_more(
         self, monkeypatch

@@ -175,6 +175,17 @@ def test_data_table_replace_checks_the_shape():
     assert table._replace(variables=("b", "a")).column("b").tolist() == [1.0, 3.0]
 
 
+def test_covariance_replace_checks_the_shape():
+    sigma = sem_record("covariance")
+    with pytest.raises(InputError, match="one row per distinct name"):
+        sigma._replace(matrix=np.eye(3))
+    with pytest.raises(InputError, match="one row per distinct name"):
+        sigma._replace(variables=("a", "a"))
+    with pytest.raises(InputError, match="one row per distinct name"):
+        sem.Covariance._make((("a",), sigma.matrix))
+    assert sigma._replace(variables=("b", "a")).submatrix(["b"]).tolist() == [[1.0]]
+
+
 def test_covariance_submatrix_names_an_unknown_variable():
     sigma = sem_record("covariance")
     assert sigma.submatrix(["b", "a"]).tolist() == [[2.0, 0.5], [0.5, 1.0]]

@@ -405,6 +405,25 @@ class TestDataTableShape:
             use(DataTable(("a", "b", "c", "a"), values))
 
 
+class TestCovarianceShape:
+    # at construction, so partial_correlation never indexes past a row and
+    # submatrix never reads the first of two equal names
+    @pytest.mark.parametrize(
+        "names, matrix",
+        [
+            (("a", "b", "c"), np.eye(2)),
+            (("a", "b"), np.eye(3)),
+            (("a", "b"), np.ones((2, 3))),
+            (("a", "b"), np.ones(4)),
+            (("a", "b"), np.ones((2, 2, 1))),
+            (("a", "a"), np.eye(2)),
+        ],
+    )
+    def test_one_row_per_distinct_name(self, names, matrix):
+        with pytest.raises(InputError, match="square 2-D array with one row per distinct name"):
+            partial_correlation(Covariance(names, matrix), "a", "b")
+
+
 class TestRunTests:
     def test_exact_zero_sample_correlation(self):
         # alternating columns have exactly zero sample correlation
