@@ -6,7 +6,9 @@ directed and a bi-directed edge. Graphs are immutable: each fact that takes
 one O(V+E) pass is derived in the constructor, and three per-vertex facts
 are cached on first use: the ancestor set, the descendant set and the
 reduced-form statement, the very object the basis returns, which the graph
-keeps alive as long as it lives. Instances are safe to share between threads.
+keeps alive as long as it lives. ``reduced_basis`` also leaves the
+ordered-local statements it enumerated, for its last ordering only, which
+``ordered_local_markov`` reuses. Instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class Admg:
     forward, bi-directed edges both ways), with the *cyclic* ones that hold a
     directed edge. The ancestor and descendant closures and the reduced-form
     statement (``markov._reduced_statement``) are cached per vertex on first
-    use.
+    use. The ordered-local memo holds, for one ordering (the last that
+    ``reduced_basis`` ran), the statements of the vertices it enumerated.
 
     Parameters
     ----------
@@ -148,6 +151,7 @@ class Admg:
         self._an_cache: dict[str, frozenset[str]] = {}
         self._de_cache: dict[str, frozenset[str]] = {}
         self._reduced_cache: dict = {}  # vertex -> CiStatement | None
+        self._ordered_memo: tuple = ((), {})  # (ordering, vertex -> statements)
 
     # --- identity -----------------------------------------------------------
 

@@ -25,16 +25,20 @@ N(a, Z) = {b : a ⊥ b | Z}, far fewer than the statements, and then lists
 each statement once from them. On rows the axioms become symmetry (b ∈
 N(a, Z) iff a ∈ N(b, Z)), weak union (c ∈ N(a, Z) puts N(a, Z) ∖ c into
 N(a, Z ∪ c)) and contraction (c ∈ N(a, Z) puts N(a, Z ∪ c) into N(a, Z));
-decomposition and composition hold by construction.
+decomposition and composition hold by construction. The listing builds each
+statement once, straight into the result set, from one frozenset per mask,
+and without the constructor's checks, as ``closure`` does for ``_saturate``'s
+triples: from checked seeds, the rules keep the sides disjoint and x, y non-empty.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import cache
 
 from .errors import CapacityError, InputError
-from .statements import CiStatement
+from .statements import CiStatement, _trusted
 
 # statements one closure may hold (under composition, ``closure`` counts its
 # pair statements first, then its statements); the largest closures run in
@@ -74,6 +78,11 @@ class StatementUniverse:
 
     def encode(self, st: CiStatement) -> tuple[int, int, int]:
         return self._mask(st.x), self._mask(st.z), self._mask(st.y)
+
+    def _sides(self) -> Callable[[int], frozenset[str]]:
+        """Mask -> the frozenset of its vertices, each built once, on first use."""
+        vertices = self.vertices
+        return cache(lambda m: frozenset(v for i, v in enumerate(vertices) if m >> i & 1))
 
 
 def _entails(sx: int, sz: int, sy: int, tx: int, tz: int, ty: int) -> bool:
@@ -179,12 +188,11 @@ def _over_budget(n: int) -> CapacityError:
     )
 
 
-def _pair_closure(
-    universe: StatementUniverse, seed: Iterable[CiStatement]
-) -> list[tuple[int, int, int]]:
-    """The composition closure as triples, each unordered statement once with
-    the side holding the least vertex as x. Raises :class:`CapacityError`
-    once more than ``CLOSURE_BUDGET`` pairs or statements are found."""
+def _pair_closure(universe: StatementUniverse, seed: Iterable[CiStatement]) -> set[CiStatement]:
+    """The composition closure, each unordered statement built once with the
+    side holding the least vertex as x. Raises :class:`CapacityError` once
+    more than ``CLOSURE_BUDGET`` pairs or statements are found, before
+    building a statement past the budget."""
     n = len(universe.vertices)
     low = (1 << n) - 1
     rows: dict[int, int] = {}  # z << n | a, a one-bit mask -> N(a, z) = {b : a ⊥ b | z}
@@ -249,26 +257,29 @@ def _pair_closure(
 
     # X ⊥ Y | z holds iff every a ∈ X has Y within N(a, z): grow X upwards
     # while the rows of its members share bits above its least member
-    triples: list[tuple[int, int, int]] = []
+    new, side = _trusted, universe._sides()
+    out: set[CiStatement] = set()
+    add = out.add
     members: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for key in sorted(rows):
         members[key >> n].append((key & low, rows[key]))
     for z, row_of in members.items():
+        sz = side(z)
         stack = [(a, row & -2 * a, j + 1) for j, (a, row) in enumerate(row_of) if row >= 2 * a]
         while stack:
             x, common, j = stack.pop()
             # the 2^|common| - 1 statements of this x, counted before listing
-            if len(triples) + (1 << common.bit_count()) > CLOSURE_BUDGET + 1:
+            if len(out) + (1 << common.bit_count()) > CLOSURE_BUDGET + 1:
                 raise _over_budget(n)
-            y = common
+            sx, y = side(x), common
             while y:
-                triples.append((x, z, y))
+                add(new(sx, sz, side(y)))
                 y = y - 1 & common
             for k in range(j, len(row_of)):
                 a, row = row_of[k]
                 if common & row:
                     stack.append((x | a, common & row, k + 1))
-    return triples
+    return out
 
 
 def closure(
@@ -276,12 +287,10 @@ def closure(
 ) -> set[CiStatement]:
     """All statements derivable from ``seed`` under the enabled axioms."""
     if composition:
-        triples = _pair_closure(universe, seed)
-    else:
-        triples, _ = _saturate(universe, seed, composition)
-    masks = {m for t in triples for m in t}
-    names = {m: frozenset(v for i, v in enumerate(universe.vertices) if m >> i & 1) for m in masks}
-    return {CiStatement(names[x], names[z], names[y]) for x, z, y in triples}
+        return _pair_closure(universe, seed)
+    triples, _ = _saturate(universe, seed, composition)
+    new, side = _trusted, universe._sides()
+    return {new(side(x), side(z), side(y)) for x, z, y in triples}
 
 
 def implies_each(

@@ -17,7 +17,7 @@ from itertools import chain
 from .admg import MIXED_PATH_BUDGET, Admg, validate_ordering
 from .admg import _lex_topological, _mixed_path_search, _strong_components
 from .errors import CapacityError, InputError, InternalError
-from .statements import CiStatement, dedupe
+from .statements import CiStatement, _trusted, dedupe
 
 # connected sub-districts (leaves of the take/exclude enumeration) one
 # maximal-ancestral-set call may visit; a bi-directed clique of 16 members
@@ -156,10 +156,11 @@ def _ordered_local(
     """Each maximal ancestral set A of ``x`` in the validated prefix ``pre``,
     with its D = dis_A(x) and its statement I(x ; A - mb - {x} | mb), or
     ``None`` when that is vacuous; the blanket mb comes from D."""
+    sx = frozenset((x,))
     for a, d in _maximal_ancestral_sets(g, x, pre):
         mb = _blanket(g, x, d)
-        indep = a - mb - {x}
-        yield a, d, (CiStatement([x], mb, indep) if indep else None)
+        indep = a - mb - sx
+        yield a, d, (_trusted(sx, mb, indep) if indep else None)
 
 
 def ordered_local_markov(g: Admg, ordering: Iterable[str]) -> list[CiStatement]:
@@ -167,9 +168,17 @@ def ordered_local_markov(g: Admg, ordering: Iterable[str]) -> list[CiStatement]:
 
     One statement per vertex and maximal ancestral set; vacuous statements
     (empty independence side) are dropped and duplicates canonicalized away.
+    The vertices that :func:`reduced_basis` last enumerated on ``g`` for
+    this ordering come from the graph's memo, as the same objects.
     """
-    entries = ordered_local_entries(g, ordering)
-    return dedupe(stmt for _, _, stmt in entries if stmt is not None)
+    order = validate_ordering(g, ordering)
+    memo_order, memo = g._ordered_memo
+    known = memo if memo_order == order else {}
+    per_vertex = (
+        known[x] if x in known else [s for *_, s in _ordered_local(g, x, order[: i + 1]) if s]
+        for i, x in enumerate(order)
+    )
+    return dedupe(chain.from_iterable(per_vertex))
 
 
 # --- the reduced (one statement per vertex) property --------------------------
@@ -184,7 +193,8 @@ def _reduced_statement(g: Admg, x: str) -> CiStatement | None:
         return cache[x]
     de = (g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x]))
     indep = g._vset.difference(g._parents[x], *de)
-    return cache.setdefault(x, CiStatement((x,), g._parents[x], indep) if indep else None)
+    stmt = _trusted(frozenset((x,)), frozenset(g._parents[x]), indep) if indep else None
+    return cache.setdefault(x, stmt)
 
 
 def reduced_local_markov(g: Admg) -> list[CiStatement]:
@@ -348,6 +358,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
     certifies as implied. Vacuous statements
     are dropped, duplicates collapse to their first occurrence, and pruned
     statements are recorded with the index of the statement implying them.
+    The enumerated vertices' statements replace the graph's ordered-local memo.
     """
     # the one validation of the ordering; the helpers below trust it
     order = (
@@ -357,6 +368,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
     provenance: list[str] = []
     pruned: list[PrunedStatement] = []
     index_of: dict[CiStatement, int] = {}
+    memo: dict[str, list[CiStatement]] = {}
 
     def emit(stmt: CiStatement, tag: str) -> int:
         at = index_of.setdefault(stmt, len(statements))
@@ -374,6 +386,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
             continue
 
         entries = list(_ordered_local(g, x, order[: i + 1]))
+        memo[x] = [stmt for _, _, stmt in entries if stmt is not None]
         # every set lies in the prefix, so only the prefix itself has i + 1 members
         if not entries or len(entries[0][0]) != i + 1:
             raise InternalError("the full prefix must be the largest maximal ancestral set")
@@ -389,6 +402,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
             else:
                 emit(stmt, ORDERED_LOCAL)
 
+    g._ordered_memo = (order, memo)  # one assignment: readers see the old or the new
     return ReducedBasis(order, tuple(statements), tuple(provenance), tuple(pruned))
 
 

@@ -7,6 +7,11 @@ swap, so equality and hashing treat the two sides as an unordered pair, and
 a statement never equals a plain tuple; tuple ``<`` is positional, so sort
 statements with a key. Display keeps the as-constructed orientation:
 producers put the vertex a rule was applied to on the ``x`` side.
+
+``_trusted`` builds a statement without the constructor's checks, for
+``implication.closure``, ``markov._ordered_local`` and
+``markov._reduced_statement``: the axioms keep checked sides disjoint and
+non-empty, and the others take ``{x}`` and its blanket or parents out of y.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ class CiStatement(namedtuple("CiStatement", "x z y")):
             "given": sorted(self.z),
             "indep": sorted(self.y),
         }
+
+
+def _trusted(x: frozenset[str], z: frozenset[str], y: frozenset[str]) -> CiStatement:
+    """A statement of disjoint frozensets, x and y non-empty, unchecked."""
+    return tuple.__new__(CiStatement, (x, z, y))
 
 
 def dedupe(statements: Iterable[CiStatement]) -> list[CiStatement]:

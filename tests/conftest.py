@@ -3,7 +3,7 @@ import pytest
 
 from admgci import Admg, fixture_graph
 
-_NAMES = "abcdefghij"
+_NAMES = "abcdefghijklmnop"
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +41,26 @@ def random_cycle_free_admg(rng: np.random.Generator, n: int, p_dir=0.35, p_bi=0.
         g = random_admg(rng, n, p_dir, p_bi)
         if not g.has_mixed_directed_cycle():
             return g
+
+
+def random_block_admg(rng: np.random.Generator, n: int, p_dir=0.35, p_bi=0.5) -> Admg:
+    """A random ADMG on n short-named vertices with no mixed directed cycle,
+    drawn without rejection: a random permutation is cut into blocks (each
+    gap a cut with probability 1/2), bi-directed edges join pairs inside a
+    block and directed edges point forward across blocks. No edge leads to an
+    earlier block and every directed edge leads to a later one, so no cycle
+    of the mixed graph holds a directed edge."""
+    perm = list(rng.permutation(list(_NAMES[:n])))
+    block = np.cumsum(rng.random(n) < 0.5)
+    directed, bidirected = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block[i] < block[j]:
+                if rng.random() < p_dir:
+                    directed.append((perm[i], perm[j]))
+            elif rng.random() < p_bi:
+                bidirected.append((perm[i], perm[j]))
+    return Admg(perm, directed, bidirected)
 
 
 def random_dag(rng: np.random.Generator, n: int, p_dir=0.4) -> Admg:

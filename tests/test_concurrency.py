@@ -14,6 +14,7 @@ from admgci import (
     InputError,
     m_separated,
     maximal_ancestral_sets,
+    ordered_local_markov,
     reduced_basis,
     reduced_local_markov,
 )
@@ -54,11 +55,16 @@ def reduced_local_or_error(g: Admg):
         return str(exc)
 
 
+def oriented(statements) -> list[tuple]:
+    """Statements as plain tuples, so that a comparison sees the orientation."""
+    return [tuple(st) for st in statements]
+
+
 def test_cold_graph_first_queries_from_eight_threads():
     # m-separation reads only maps the constructor built, while the ancestor,
-    # descendant and reduced-statement caches are filled by whichever call
-    # comes first; on a fresh graph, eight threads make their first calls at
-    # the same moment
+    # descendant and reduced-statement caches and the ordered-local memo are
+    # filled by whichever call comes first; on a fresh graph, eight threads
+    # make their first calls at the same moment
     rng = np.random.default_rng(71)
     template = random_sparse_admg(rng, 300)
     queries = []
@@ -78,6 +84,10 @@ def test_cold_graph_first_queries_from_eight_threads():
     bases = [reduced_basis(t) for t in (template, calm)]
     local = [reduced_local_or_error(t) for t in (template, calm)]
     assert isinstance(local[0], str) and isinstance(local[1], list)
+    # the basis of the graph with a mixed directed cycle leaves an
+    # ordered-local memo; that of the other enumerates no vertex
+    cyclic_order = bases[0].ordering
+    ordered = oriented(ordered_local_markov(template, cyclic_order))
 
     def worker(shift):
         barrier.wait()
@@ -87,14 +97,17 @@ def test_cold_graph_first_queries_from_eight_threads():
         got_reduced = {v: _reduced_statement(cold, v) for v in turn}
         got_ancestors = {v: cold.ancestors([v]) for v in reversed(turn)}
         # half the workers fill the reduced-statement caches from the basis,
-        # half from the reduced local property
+        # half from the reduced local property; the ordered-local lists come
+        # before this worker's basis or after it
         graphs = (cold, cold_calm)
         if shift % 10:
+            got_ordered = ordered_local_markov(cold, cyclic_order)
             got_local = [reduced_local_or_error(c) for c in graphs]
             got_bases = [reduced_basis(c) for c in graphs]
         else:
             got_bases = [reduced_basis(c) for c in graphs]
             got_local = [reduced_local_or_error(c) for c in graphs]
+            got_ordered = ordered_local_markov(cold, cyclic_order)
         # on the cycle-free graph the basis is all reduced-form statements,
         # each the very object the reduced local property returned
         shared = {id(st) for st in got_local[1]}
@@ -105,6 +118,7 @@ def test_cold_graph_first_queries_from_eight_threads():
             [got_ancestors[v] for v in probes],
             got_bases,
             got_local,
+            oriented(got_ordered),
         )
 
     interval = sys.getswitchinterval()
@@ -116,12 +130,14 @@ def test_cold_graph_first_queries_from_eight_threads():
             barrier = threading.Barrier(8, timeout=60)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = pool.map(worker, range(0, 40, 5))
-                for answers, got_reduced, got_ancestors, got_bases, got_local in results:
+                for answers, got_reduced, got_ancestors, *got in results:
+                    got_bases, got_local, got_ordered = got
                     assert answers == sequential
                     assert got_reduced == reduced
                     assert got_ancestors == ancestors
                     assert got_bases == bases
                     assert got_local == local
+                    assert got_ordered == ordered
     finally:
         sys.setswitchinterval(interval)
 

@@ -21,7 +21,7 @@ from admgci import (
 )
 from admgci.admg import MIXED_PATH_BUDGET
 from admgci.cli import main
-from conftest import district_chain_admg, random_admg, random_sparse_admg
+from conftest import district_chain_admg, random_admg, random_block_admg, random_sparse_admg
 from oracles import (
     collapsed_ordering_reference,
     m_separated_latent_moral,
@@ -90,6 +90,34 @@ class TestAgainstOracles:
         assert min(cycles[True], cycles[False]) > 100, cycles
         assert min(consecutive[True], consecutive[False]) > 100, consecutive
         assert bows > 100
+
+    def test_cycle_free_iff_no_district_holds_a_directed_edge_and_districts_form_a_dag(self):
+        # the characterization that random_block_admg draws from
+        cycles = Counter()
+        for g in oracle_graphs(seed=54, count=1500, max_vertices=9):
+            root = {v: min(d) for d in g.c_components() for v in d}
+            inside = any(root[t] == root[h] for t, h in g.directed_edges)
+            across = {(root[t], root[h]) for t, h in g.directed_edges if root[t] != root[h]}
+            try:
+                Admg(set(root.values()), across)
+                districts_acyclic = True
+            except InputError:
+                districts_acyclic = False
+            cyclic = g.has_mixed_directed_cycle()
+            assert cyclic == (inside or not districts_acyclic), repr(g)
+            cycles[inside, districts_acyclic] += 1
+        assert min(cycles.values()) > 20 and len(cycles) == 4, cycles
+
+    def test_block_generator_draws_only_cycle_free_graphs(self):
+        rng = np.random.default_rng(53)
+        mixed = 0
+        for k in range(600):
+            g = random_block_admg(rng, int(rng.integers(2, 11 if k % 2 else 17)))
+            assert not g.has_mixed_directed_cycle(), repr(g)
+            if len(g.vertices) <= 10:
+                assert not mixed_directed_cycle_by_enumeration(g), repr(g)
+            mixed += bool(g.directed_edges) and any(len(d) > 1 for d in g.c_components())
+        assert mixed > 300, mixed
 
     def test_basis_matches_the_public_entry_points(self):
         cycles = Counter()

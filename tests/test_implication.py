@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from conftest import (
     district_chain_admg,
     random_admg,
     random_bidirected_graph,
-    random_cycle_free_admg,
+    random_block_admg,
     random_dag,
 )
 from oracles import all_subsets, closure_round_robin
@@ -185,6 +186,20 @@ def decoded(universe, triples):
     return {CiStatement(names[x], names[z], names[y]) for x, z, y in triples}
 
 
+@pytest.fixture
+def built(monkeypatch) -> list[CiStatement]:
+    """Every statement the closure's unchecked constructor builds, in order."""
+    made = []
+    trusted = implication._trusted
+
+    def recorded(*sides):
+        made.append(trusted(*sides))
+        return made[-1]
+
+    monkeypatch.setattr(implication, "_trusted", recorded)
+    return made
+
+
 class TestPairRows:
     """Under composition ``closure`` is computed from the closure's pair
     statements; ``_saturate`` derives every statement one at a time."""
@@ -209,12 +224,10 @@ class TestPairRows:
 
     def test_matches_the_statement_worklist(self, monkeypatch):
         rng = np.random.default_rng(47)
-        generators = (random_admg, random_cycle_free_admg, random_dag, random_bidirected_graph)
+        generators = (random_admg, random_block_admg, random_dag, random_bidirected_graph)
         refused = 0
         for k in range(500):
-            # rejection sampling makes cycle-free graphs of 8 or more vertices slow to draw
-            n = int(rng.integers(3, 8 if k % 4 == 1 else 10))
-            g = generators[k % 4](rng, n)
+            g = generators[k % 4](rng, int(rng.integers(3, 10)))
             uni = StatementUniverse(g.vertices)
             for seed in (reduced_basis(g).statements, random_statements(rng, list(g.vertices), 1)):
                 triples, _ = implication._saturate(uni, seed, WITH_COMPOSITION)
@@ -232,14 +245,17 @@ class TestPairRows:
                 monkeypatch.undo()
         assert 300 < refused < 700
 
-    def test_each_statement_is_listed_once_with_the_least_vertex_on_x(self):
+    def test_each_statement_is_listed_once_with_the_least_vertex_on_x(self, built):
+        # the listing builds its statements straight into the result set:
+        # none is built twice
         rng = np.random.default_rng(48)
         for _ in range(40):
             g = random_admg(rng, int(rng.integers(3, 8)))
             uni = StatementUniverse(g.vertices)
-            triples = implication._pair_closure(uni, reduced_basis(g).statements)
-            assert len(decoded(uni, triples)) == len(triples)
-            assert all(x & -x < y & -y for x, _, y in triples)
+            built.clear()
+            closed = implication._pair_closure(uni, reduced_basis(g).statements)
+            assert len(built) == len(closed) and set(built) == closed
+            assert all(min(st.x) < min(st.y) for st in built)
 
 
 def sparse_dag_11():
@@ -265,6 +281,19 @@ class TestClosureBudget:
             closure(universe, basis, WITH_COMPOSITION)
         # a target that needs no rule is found before the budget runs out
         assert implies_each(universe, basis, [basis[0]], WITH_COMPOSITION) == [True]
+
+    def test_the_largest_closure_is_refused_in_seconds_before_the_listing_passes_it(
+        self, built
+    ):
+        # a clean refusal, never a hang: 0.1-0.7 s on a 2-core machine, and
+        # the listing refuses before it has built a statement past the budget
+        g = sparse_dag_11()
+        basis = reduced_basis(g).statements
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"found {CLOSURE_BUDGET + 1} statements"):
+            closure(StatementUniverse(g.vertices), basis, WITH_COMPOSITION)
+        assert time.perf_counter() - start < 15
+        assert CLOSURE_BUDGET // 2 < len(built) <= CLOSURE_BUDGET
 
     def test_target_found_by_the_triple_past_the_budget_is_answered(self, monkeypatch):
         # the triple that would break the budget is checked against the

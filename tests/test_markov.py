@@ -520,3 +520,76 @@ class TestReducedBasis:
                     want.add(CiStatement([x], [], rest))
             assert set(reduced_local_markov(g)) == want
             assert set(reduced_basis(g).statements) == want
+
+
+def oriented(statements) -> list[tuple]:
+    """Statements as plain tuples, so that a comparison sees the orientation."""
+    return [tuple(st) for st in statements]
+
+
+def copy_of(g: Admg) -> Admg:
+    """An equal graph with empty caches."""
+    return Admg(g.vertices, g.directed_edges, g.bidirected_edges)
+
+
+class TestOrderedLocalMemo:
+    """``reduced_basis`` leaves on the graph the ordered-local statements of
+    the vertices it enumerated, for its one ordering, and
+    ``ordered_local_markov`` reads them instead of enumerating again."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, figure1, figure2, figure3):
+        rng = np.random.default_rng(37)
+        cyclic = []
+        while len(cyclic) < 150:
+            g = random_admg(rng, int(rng.integers(3, 10)))
+            if g.has_mixed_directed_cycle():
+                cyclic.append(g)
+        return [figure1, figure2, figure3, *cyclic]
+
+    def test_lists_equal_those_of_a_fresh_graph_in_either_call_order(self, graphs):
+        remembered = 0
+        for g in graphs:
+            order = build_collapsed_ordering(g)
+            want = oriented(ordered_local_markov(copy_of(g), order))
+            basis_first = copy_of(g)
+            basis = reduced_basis(basis_first)
+            remembered += bool(basis_first._ordered_memo[1])
+            assert oriented(ordered_local_markov(basis_first, order)) == want, repr(g)
+            basis_last = copy_of(g)
+            assert oriented(ordered_local_markov(basis_last, order)) == want, repr(g)
+            assert reduced_basis(basis_last) == basis
+            assert oriented(ordered_local_markov(basis_last, order)) == want, repr(g)
+        assert remembered > 140, remembered
+
+    def test_a_second_ordering_replaces_the_memo(self, graphs):
+        rng = np.random.default_rng(38)
+        replaced = 0
+        for g in graphs:
+            g = copy_of(g)
+            order = build_collapsed_ordering(g)
+            other = tuple(_random_consistent_order(rng, g))
+            want = [oriented(ordered_local_markov(copy_of(g), o)) for o in (order, other)]
+            reduced_basis(g, order)
+            reduced_basis(g, other)
+            replaced += order != other
+            assert g._ordered_memo[0] == other
+            assert [oriented(ordered_local_markov(g, o)) for o in (order, other)] == want
+            reduced_basis(g, order)
+            assert [oriented(ordered_local_markov(g, o)) for o in (other, order)] == want[::-1]
+        assert replaced > 100, replaced
+
+    def test_a_statement_shared_with_the_basis_is_its_object(self, graphs):
+        shared = 0
+        for g in graphs:
+            g = copy_of(g)
+            basis = reduced_basis(g)
+            ids = {id(st) for st in ordered_local_markov(g, basis.ordering)}
+            enumerated = [
+                st for st, tag in zip(basis.statements, basis.provenance) if tag == ORDERED_LOCAL
+            ]
+            enumerated += [p.statement for p in basis.pruned]
+            assert all(id(st) in ids for st in enumerated), repr(g)
+            shared += len(enumerated)
+        assert shared > 400, shared
+

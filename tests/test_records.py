@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from admgci import (
+    SEMI_GRAPHOID,
+    WITH_COMPOSITION,
+    CapacityError,
     CiStatement,
     InputError,
     InternalError,
     PartialCorrTest,
     PrunedStatement,
     ReducedBasis,
+    StatementUniverse,
+    closure,
+    ordered_local_markov,
+    reduced_basis,
+    reduced_local_markov,
     sem,
 )
+from admgci import implication
+from conftest import random_admg, random_bidirected_graph, random_block_admg, random_dag
 
 
 def st(x, z, y):
@@ -111,6 +121,37 @@ def test_statement_rejects_a_bare_string_side(side):
     sides[side] = "bd"
     with pytest.raises(InputError, match="got a bare string"):
         CiStatement(*sides)
+
+
+def test_statements_built_unchecked_would_pass_the_checks(monkeypatch):
+    # closure, reduced_basis, reduced_local_markov and ordered_local_markov
+    # build their statements without the constructor's checks: each would
+    # pass them, and keep its orientation; a budget of 1000 keeps the large
+    # closures of sparse 9-vertex graphs from dominating the run time
+    monkeypatch.setattr(implication, "CLOSURE_BUDGET", 1000)
+    rng = np.random.default_rng(61)
+    generators = (random_admg, random_block_admg, random_dag, random_bidirected_graph)
+    closed = 0
+    for k in range(1000):
+        g = generators[k % 4](rng, int(rng.integers(3, 10)))
+        basis = reduced_basis(g)
+        built = [*basis.statements, *(p.statement for p in basis.pruned)]
+        built += ordered_local_markov(g, basis.ordering)
+        if not g.has_mixed_directed_cycle():
+            built += reduced_local_markov(g)
+        roles = rng.integers(0, 4, size=len(g.vertices))
+        x, z, y = ([v for v, r in zip(g.vertices, roles) if r == i] for i in (1, 2, 3))
+        seeds = [basis.statements] + ([[CiStatement(x, z, y)]] if x and y else [])
+        for seed in seeds:
+            for axioms in (SEMI_GRAPHOID, WITH_COMPOSITION):
+                try:
+                    built += closure(StatementUniverse(g.vertices), seed, axioms)
+                    closed += 1
+                except CapacityError:
+                    pass
+        for stmt in built:
+            assert tuple(CiStatement(*stmt)) == tuple(stmt), (repr(g), stmt)
+    assert closed > 2500, closed
 
 
 # the SEM records, reached through the module: pytest would try to collect a
