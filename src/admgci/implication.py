@@ -1,51 +1,61 @@
 """Desk-scale conditional-independence implication by axiom closure.
 
-A statement over n vertices is three bitmasks (x, z, y), keyed by the integer
-``min(x, y) << 2n | max(x, y) << n | z`` so that a statement and its x/y swap
-share one key (symmetry); a repeated statement costs one set lookup and no
-call. Closure is a semi-naive worklist fixpoint. Decomposition and weak union
-move one member b of y at a time, to (x, z, y∖b) and (x, z∪b, y∖b); any
-general step is a chain of these. A statement joins the contraction indexes
-when it is popped, after being joined with every statement popped before it:
-each pair of premises meets once, when the later of the two is popped, and
-no pair of popped statements is missed. Composition, when enabled, adds
-(x, z, U) for the union U of every y seen with (x, z): a chain of composition
-steps, and complete, since decomposition of U then yields y1 ∪ y2 for any two
-such y. Membership in the closure decides implication; this is derivability
-under the stated axioms, not general probabilistic implication.
+A statement over n vertices is three bitmasks (x, z, y). Symmetry,
+decomposition and weak union make it stand for all its weakenings: (x', z',
+y') with x' ⊆ x and y' ⊆ y (or the sides swapped) and z ⊆ z' ⊆ x ∪ z ∪ y
+(``_entails``). So the closure is kept as its *dominant* statements, those
+no other statement of the closure entails, after Baioletti, Busanello and
+Vantaggi (IJAR 2009), with the axioms as in Studený (2005): a conclusion a
+kept statement entails is dropped, and the kept ones a new one entails leave.
 
-Each entry point gets the engine that fits what it returns. ``implies_each``
-runs the worklist above under either axiom set, and stops as soon as every
-target follows from one statement found by symmetry, decomposition and weak
-union: one large statement may answer many targets early. ``closure`` runs
-it for the semi-graphoid axioms only. Under composition, X ⊥ Y | Z holds iff
-a ⊥ b | Z for every a ∈ X and b ∈ Y (decomposition one way, composition the
-other), so ``closure`` computes the least fixpoint of the pair rows
-N(a, Z) = {b : a ⊥ b | Z}, far fewer than the statements, and then lists
-each statement once from them. On rows the axioms become symmetry (b ∈
-N(a, Z) iff a ∈ N(b, Z)), weak union (c ∈ N(a, Z) puts N(a, Z) ∖ c into
-N(a, Z ∪ c)) and contraction (c ∈ N(a, Z) puts N(a, Z ∪ c) into N(a, Z));
-decomposition and composition hold by construction. The listing builds each
-statement once, straight into the result set, from one frozenset per mask,
-and without the constructor's checks, as ``closure`` does for ``_saturate``'s
-triples: from checked seeds, the rules keep the sides disjoint and x, y non-empty.
+Contraction and composition act on kept statements through lifted rules.
+For kept d1 = (A1, B1 | C1) and d2 = (A2, B2 | C2), each in both
+orientations, with Si = Ai ∪ Bi ∪ Ci and X = A1 ∩ A2, a rule fires only
+when X ≠ ∅, C1 ⊆ S2 and C2 ⊆ S1, and gives
+- contraction: (X, (B1 ∖ C2) ∪ (B2 ∩ S1) | C2 ∪ (C1 ∖ B2)), from d2's
+  weakening (X, Y | Z) and d1's (X, W | Z ∪ Y), and the same with 1 and 2
+  swapped;
+- composition: (X, (B1 ∖ C2) ∪ (B2 ∖ C1) | C1 ∪ C2).
+Each is the unique maximal conclusion of its rule over all weakenings of d1
+and d2 in that orientation, so a kept set closed under them entails a set
+closed under the plain rules. The engine is a FIFO semi-naive worklist: a
+statement popped is paired with each kept statement popped before it
+(paired with itself it gives itself), so each pair meets once; a popped
+statement a newer one entails leaves the pairing, as the newer one's
+conclusions entail its own. This is derivability under the stated axioms,
+not general probabilistic implication.
+
+``implies_each`` stops once every target is entailed by one kept statement.
+``closure`` lists everything the kept statements entail: it collects the
+keys ``first << 2n | second << n | z``, first being the side holding the
+least vertex, so a statement and its x/y swap share one key, then builds
+each statement once, without the constructor's checks: from checked seeds,
+the rules keep the sides disjoint and x, y non-empty.
+
+``STEP_BUDGET`` bounds the engine in comparisons of two statements: drawn
+conclusions alone would not bound its time, as each new one is compared
+with every kept statement. ``CLOSURE_BUDGET`` bounds the listing.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import deque
 from collections.abc import Callable, Iterable
 from functools import cache
 
 from .errors import CapacityError, InputError
 from .statements import CiStatement, _trusted
 
-# statements one closure may hold (under composition, ``closure`` counts its
-# pair statements first, then its statements); the largest closures run in
-# the tests hold about 43 000 (10 vertices), those of the 8-vertex desk
-# shapes 2 100
+# the engine's steps per closure, in comparisons of two statements; a pair
+# of kept statements joined or a conclusion drawn counts 32, about its cost
+STEP_BUDGET = 20_000_000
+
+# statements ``closure`` may list; the largest closures listed in the tests
+# hold about 43 000 (10 vertices), those of the 8-vertex desk shapes 2 100
 CLOSURE_BUDGET = 50_000
 
+# a statement over n vertices: the bitmasks (x, z, y)
+Triple = tuple[int, int, int]
 
 # the ``composition`` argument: the four semi-graphoid rules always apply,
 # composition on request
@@ -55,7 +65,7 @@ WITH_COMPOSITION = True
 
 class StatementUniverse:
     """All CI statements over a fixed ground set of vertices. The universe has
-    no size limit: ``CLOSURE_BUDGET`` bounds the work of a closure in it."""
+    no size limit: the closure's budgets bound its work instead."""
 
     def __init__(self, vertices: Iterable[str]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -89,208 +99,138 @@ def _entails(sx: int, sz: int, sy: int, tx: int, tz: int, ty: int) -> bool:
     """Whether (tx, tz, ty) follows from (sx, sz, sy) by symmetry,
     decomposition and weak union alone: each side within one side, and the
     conditioning set between sz and sz ∪ sx ∪ sy."""
-    span = sx | sz | sy
     return (
-        (tx | sx == sx and ty | sy == sy or tx | sy == sy and ty | sx == sx)
-        and sz | tz == tz
-        and tz | span == span
+        (tx & sx == tx and ty & sy == ty or tx & sy == tx and ty & sx == ty)
+        and sz & tz == sz
+        and (sx | sz | sy) & tz == tz
     )
 
 
-def _saturate(
-    universe: StatementUniverse,
-    seed: Iterable[CiStatement],
-    composition: bool,
-    targets: Iterable[tuple[int, int, int]] = (),
-) -> tuple[list[tuple[int, int, int]], set[tuple[int, int, int]]]:
-    """Least fixpoint of the enabled rules, or as much of it as entails every
-    target. Returns the canonical triples and the targets not entailed.
-    Raises :class:`CapacityError` once more than ``CLOSURE_BUDGET`` triples
-    are found."""
+def _lifted(d1: Triple, d2: Triple, composition: bool) -> list[Triple]:
+    """The lifted contraction (and composition) of two statements: in each
+    orientation, the maximal conclusion of the rule over their weakenings."""
+    (x1, z1, y1), (x2, z2, y2) = d1, d2
+    s1, s2 = x1 | z1 | y1, x2 | z2 | y2
+    if z1 & ~s2 or z2 & ~s1:
+        return []
+    out = []
+    for a1, b1 in ((x1, y1), (y1, x1)):
+        for a2, b2 in ((x2, y2), (y2, x2)):
+            x = a1 & a2
+            if x:
+                out.append((x, z2 | z1 & ~b2, b1 & ~z2 | b2 & s1))
+                out.append((x, z1 | z2 & ~b1, b2 & ~z1 | b1 & s2))
+                if composition:
+                    out.append((x, z1 | z2, b1 & ~z2 | b2 & ~z1))
+    return [c for c in out if c[2]]
+
+
+def _dominant(
+    universe: StatementUniverse, seed: Iterable[CiStatement], composition: bool,
+    targets: Iterable[Triple] = (),
+) -> tuple[list[Triple], set[Triple]]:
+    """The dominant statements of the closure, or of as much of it as
+    entails every target (triples), and the targets not entailed. Raises
+    :class:`CapacityError` past ``STEP_BUDGET`` steps."""
     n = len(universe.vertices)
     wanted = set(targets)
-    seen: set[int] = set()
-    triples: list[tuple[int, int, int]] = []
-    head = 0  # the worklist is triples[head:]
-    # popped statements, both orientations, keyed by x << n | z and x << n | z∪y
-    by_xz: dict[int, list[int]] = defaultdict(list)
-    by_xu: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    union: dict[int, int] = {}
+    seen: set[int] = set()  # the key of every conclusion drawn
+    kept: dict[int, Triple] = {}
+    popped: dict[int, Triple] = {}  # the kept ones popped so far
+    queue: deque[int] = deque()
+    steps = 0
 
-    def add(w: int, x: int, z: int, y: int, match: bool = True) -> bool:
-        """Add a triple of unseen key ``w``; True once the last target is
-        entailed. With ``match`` off it is not matched against the targets."""
+    def keep(x: int, z: int, y: int) -> bool:
+        """Keep a conclusion no kept statement entails, in place of those it
+        entails; True once the last target is entailed. A repeat costs one
+        set lookup: what was drawn before is still entailed by a kept one."""
+        nonlocal steps
+        w = ((x << n | y) if x & -x < y & -y else (y << n | x)) << n | z
+        if w in seen:
+            return False
         seen.add(w)
-        triples.append((x, z, y))
-        if wanted and match:
-            wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
-            if not wanted:
-                return True
-        if len(triples) > CLOSURE_BUDGET:
-            raise _over_budget(n)
-        return False
+        # ``_entails`` inline, both ways: a call would cost 4 times as much
+        steps += len(kept)
+        for sx, sz, sy in kept.values():
+            if (x & sx == x and y & sy == y or x & sy == x and y & sx == y) and (
+                sz & z == sz and (sx | sz | sy) & z == z
+            ):
+                return False
+        steps += len(kept) + len(wanted)
+        span = x | z | y
+        for k, (sx, sz, sy) in list(kept.items()):
+            if (sx & x == sx and sy & y == sy or sx & y == sx and sy & x == sy) and (
+                z & sz == z and span & sz == sz
+            ):
+                del kept[k]
+                popped.pop(k, None)
+        kept[w] = (x, z, y)
+        queue.append(w)
+        if not wanted:
+            return False
+        wanted.difference_update([t for t in wanted if _entails(x, z, y, *t)])
+        return not wanted
 
     for st in seed:
-        x, z, y = universe.encode(st)
-        w = ((x << n | y) if x < y else (y << n | x)) << n | z
-        if w not in seen and add(w, x, z, y):
-            return triples, wanted
-
-    while head < len(triples):
-        x0, z, y0 = triples[head]
-        head += 1
-        for x, y in ((x0, y0), (y0, x0)):
-            xz = x << n | z
-            # decomposition and weak union, one member of y at a time; what
-            # they make is entailed by this statement, and entailment is
-            # transitive, so it entails no target this one did not
-            if y & (y - 1):
-                rest = y
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    v = y ^ b
-                    w = ((x << n | v) if x < v else (v << n | x)) << n | z
-                    if w not in seen:
-                        add(w, x, z, v, False)
-                    if w | b not in seen:
-                        add(w | b, x, z | b, v, False)
-            # contraction against every popped statement, this one as the
-            # first premise and then as the second
-            for v in by_xz.get(xz | y, ()):
-                v |= y
-                w = ((x << n | v) if x < v else (v << n | x)) << n | z
-                if w not in seen and add(w, x, z, v):
-                    return triples, wanted
-            for z1, y1 in by_xu.get(xz, ()):
-                v = y1 | y
-                w = ((x << n | v) if x < v else (v << n | x)) << n | z1
-                if w not in seen and add(w, x, z1, v):
-                    return triples, wanted
-            by_xz[xz].append(y)
-            by_xu[xz | y].append((z, y))
-            # composition against the union of every y seen with (x, z)
-            if composition:
-                u = union.get(xz, 0)
-                if y & ~u:
-                    u |= y
-                    union[xz] = u
-                    w = ((x << n | u) if x < u else (u << n | x)) << n | z
-                    if u != y and w not in seen and add(w, x, z, u):
-                        return triples, wanted
-    return triples, wanted
-
-
-def _over_budget(n: int) -> CapacityError:
-    return CapacityError(
-        f"the closure over {n} vertices found {CLOSURE_BUDGET + 1} statements, "
-        f"over its budget of {CLOSURE_BUDGET}"
-    )
-
-
-def _pair_closure(universe: StatementUniverse, seed: Iterable[CiStatement]) -> set[CiStatement]:
-    """The composition closure, each unordered statement built once with the
-    side holding the least vertex as x. Raises :class:`CapacityError` once
-    more than ``CLOSURE_BUDGET`` pairs or statements are found, before
-    building a statement past the budget."""
-    n = len(universe.vertices)
-    low = (1 << n) - 1
-    rows: dict[int, int] = {}  # z << n | a, a one-bit mask -> N(a, z) = {b : a ⊥ b | z}
-    # key -> the bits of its row not yet processed: each rule instance fires
-    # when the later of its premises is processed, reading the rows as they are
-    work: dict[int, int] = {}
-    pairs = 0
-
-    def add(key: int, bits: int) -> None:
-        """Put ``bits`` into a row, and the row's vertex into theirs."""
-        nonlocal pairs
-        old = rows.get(key, 0)
-        new = bits & ~old
-        if not new:
-            return
-        rows[key] = old | new
-        work[key] = work.get(key, 0) | new
-        # symmetry keeps the rows two-ended, so each new pair is new at both ends
-        pairs += new.bit_count()
-        if pairs > CLOSURE_BUDGET:
-            raise _over_budget(n)
-        a, base = key & low, key & ~low
-        while new:
-            b = new & -new
-            new ^= b
-            k = base | b
-            rows[k] = rows.get(k, 0) | a
-            work[k] = work.get(k, 0) | a
-
-    for st in seed:
-        x, z, y = universe.encode(st)
-        while x:
-            a = x & -x
-            x ^= a
-            add(z << n | a, y)
-
-    while work:
-        key, new = work.popitem()
-        a, z, row = key & low, key >> n, rows[key]
-        # weak union: c ∈ N(a, z) puts N(a, z) ∖ c into N(a, z ∪ c), and
-        # contraction: a new c ∈ N(a, z) puts N(a, z ∪ c) into N(a, z)
-        pulled = 0
-        rest = row
-        while rest:
-            c = rest & -rest
-            rest ^= c
-            k = (z | c) << n | a
-            if c & new:
-                add(k, row ^ c)
-                pulled |= rows.get(k, 0)
-            elif new & ~rows.get(k, 0):  # most are known already: skip the call
-                add(k, new)
-        add(key, pulled)
-        # contraction: c ∈ N(a, z ∖ c) puts N(a, z) into N(a, z ∖ c)
-        rest = z
-        while rest:
-            c = rest & -rest
-            rest ^= c
-            k = (z ^ c) << n | a
-            if rows.get(k, 0) & c:
-                add(k, new)
-
-    # X ⊥ Y | z holds iff every a ∈ X has Y within N(a, z): grow X upwards
-    # while the rows of its members share bits above its least member
-    new, side = _trusted, universe._sides()
-    out: set[CiStatement] = set()
-    add = out.add
-    members: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for key in sorted(rows):
-        members[key >> n].append((key & low, rows[key]))
-    for z, row_of in members.items():
-        sz = side(z)
-        stack = [(a, row & -2 * a, j + 1) for j, (a, row) in enumerate(row_of) if row >= 2 * a]
-        while stack:
-            x, common, j = stack.pop()
-            # the 2^|common| - 1 statements of this x, counted before listing
-            if len(out) + (1 << common.bit_count()) > CLOSURE_BUDGET + 1:
-                raise _over_budget(n)
-            sx, y = side(x), common
-            while y:
-                add(new(sx, sz, side(y)))
-                y = y - 1 & common
-            for k in range(j, len(row_of)):
-                a, row = row_of[k]
-                if common & row:
-                    stack.append((x | a, common & row, k + 1))
-    return out
+        steps += 32
+        if keep(*universe.encode(st)):
+            return list(kept.values()), wanted
+    while queue:
+        w = queue.popleft()
+        d1 = kept.get(w)
+        if d1 is None:
+            continue
+        for k, d2 in list(popped.items()):
+            if k in popped:
+                lifted = _lifted(d1, d2, composition)
+                steps += 32 * (1 + len(lifted))
+                for c in lifted:
+                    if keep(*c):
+                        return list(kept.values()), wanted
+            if steps > STEP_BUDGET:
+                raise CapacityError(
+                    f"the closure over {n} vertices took {steps} steps, "
+                    f"over its budget of {STEP_BUDGET}"
+                )
+        if kept.get(w) is d1:
+            popped[w] = d1
+    return list(kept.values()), wanted
 
 
 def closure(
     universe: StatementUniverse, seed: Iterable[CiStatement], composition: bool = False
 ) -> set[CiStatement]:
-    """All statements derivable from ``seed`` under the enabled axioms."""
-    if composition:
-        return _pair_closure(universe, seed)
-    triples, _ = _saturate(universe, seed, composition)
-    new, side = _trusted, universe._sides()
-    return {new(side(x), side(z), side(y)) for x, z, y in triples}
+    """All statements derivable from ``seed`` under the enabled axioms, each
+    built once with the side holding the least vertex as x. Raises
+    :class:`CapacityError` once the engine's budget runs out, or once more
+    than ``CLOSURE_BUDGET`` statements are found, before building any."""
+    kept, _ = _dominant(universe, seed, composition)
+    n = len(universe.vertices)
+    keys: set[int] = set()
+    add = keys.add
+    # every weakening of each kept statement: x' ⊆ x and y' ⊆ y non-empty,
+    # and z with any part of what they leave of x and y
+    for x, z, y in kept:
+        a = x
+        while a:
+            b = y
+            while b:
+                free = x ^ a | y ^ b
+                d = free
+                k = ((a << n | b) if a & -a < b & -b else (b << n | a)) << n | z
+                add(k | d)
+                while d:
+                    d = d - 1 & free
+                    add(k | d)
+                if len(keys) > CLOSURE_BUDGET:
+                    raise CapacityError(
+                        f"the closure over {n} vertices found {CLOSURE_BUDGET + 1} statements, "
+                        f"over its budget of {CLOSURE_BUDGET}"
+                    )
+                b = b - 1 & y
+            a = a - 1 & x
+    new, side, low = _trusted, universe._sides(), (1 << n) - 1
+    return {new(side(k >> 2 * n), side(k & low), side(k >> n & low)) for k in keys}
 
 
 def implies_each(
@@ -299,10 +239,10 @@ def implies_each(
     targets: Iterable[CiStatement],
     composition: bool = False,
 ) -> list[bool]:
-    """Membership of each target in the closure, from one saturation that
-    stops once every target follows from a statement found."""
+    """Membership of each target in the closure, from one run of the engine
+    that stops once every target is entailed by a kept statement."""
     encoded = [universe.encode(t) for t in targets]
     if not encoded:
         return []
-    _, missing = _saturate(universe, seed, composition, encoded)
+    _, missing = _dominant(universe, seed, composition, encoded)
     return [t not in missing for t in encoded]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
+from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -408,6 +409,59 @@ def closure_round_robin(seed, composition: bool) -> set[CiStatement]:
                 current |= fresh
                 changed = True
     return current
+
+
+def closure_worklist(seed, composition: bool) -> set[CiStatement]:
+    """Every statement of the closure, derived one at a time by a semi-naive
+    worklist over bitmasks (x, z, y) of the seed's vertices, keyed so that a
+    statement and its x/y swap share one key. Decomposition and weak union
+    move one member b of y at a time; a statement joins the contraction
+    indexes when it is popped, after being joined with every statement
+    popped before it; composition adds (x, z, U) for the union U of every y
+    seen with (x, z). No budget: the fast oracle for closures of thousands."""
+    seed = list(seed)
+    vertices = sorted({v for st in seed for side in st for v in side})
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    seen: set[int] = set()
+    triples: list[tuple[int, int, int]] = []
+    # popped statements, both orientations, keyed by x << n | z and x << n | z∪y
+    by_xz: dict[int, list[int]] = {}
+    by_xu: dict[int, list[tuple[int, int]]] = {}
+    union: dict[int, int] = {}
+
+    def add(x: int, z: int, y: int) -> None:
+        w = ((x << n | y) if x < y else (y << n | x)) << n | z
+        if w not in seen:
+            seen.add(w)
+            triples.append((x, z, y))
+
+    for st in seed:
+        add(*(sum(bit[v] for v in side) for side in st))
+    head = 0  # the worklist is triples[head:]
+    while head < len(triples):
+        x0, z, y0 = triples[head]
+        head += 1
+        for x, y in ((x0, y0), (y0, x0)):
+            xz = x << n | z
+            rest = y if y & (y - 1) else 0
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                add(x, z, y ^ b)
+                add(x, z | b, y ^ b)
+            for v in by_xz.get(xz | y, ()):
+                add(x, z, v | y)
+            for z1, y1 in by_xu.get(xz, ()):
+                add(x, z1, y1 | y)
+            by_xz.setdefault(xz, []).append(y)
+            by_xu.setdefault(xz | y, []).append((z, y))
+            if composition:
+                u = union.get(xz, 0) | y
+                union[xz] = u
+                add(x, z, u)
+    side = cache(lambda m: frozenset(v for i, v in enumerate(vertices) if m >> i & 1))
+    return {CiStatement(side(x), side(z), side(y)) for x, z, y in triples}
 
 
 def all_subsets(items):

@@ -186,17 +186,18 @@ class TestExitCodes:
             assert err.startswith("error: no such file or bundled fixture: "), name
 
     def test_closure_over_budget_exits_3(self, capsys, tmp_path):
-        # an 11-vertex graph whose basis leaves ordered-local statements
-        # underivable without composition, so verify saturates the closure
+        # a 15-vertex graph whose basis leaves ordered-local statements
+        # underivable without composition, so verify runs the engine to its
+        # step budget
         path = tmp_path / "g.txt"
         path.write_text(
-            "v10 -> v2\nv10 -> v8\nv2 -> v7\nv3 -> v1\nv3 -> v5\nv6 -> v0\nv8 -> v7\n"
-            "v9 -> v0\nv9 -> v3\nv9 -> v7\nv0 <-> v10\nv0 <-> v2\nv0 <-> v3\nv0 <-> v5\n"
-            "v10 <-> v5\nv10 <-> v9\nv4 <-> v7\n"
+            "v0 -> v5\nv11 -> v14\nv12 -> v6\nv6 -> v14\nv7 -> v0\nv7 -> v8\nv8 -> v6\n"
+            "v10 <-> v7\nv13 <-> v7\nv14 <-> v3\nv14 <-> v4\nv4 <-> v6\nv1\nv2\nv9\n"
         )
         code, out, err = run(capsys, "verify", str(path), "--axioms", "semigraphoid")
         assert (code, out) == (3, "")
-        assert err.startswith("capacity error: the closure over 11 vertices found 50001 statements")
+        assert err.startswith("capacity error: the closure over 15 vertices took ")
+        assert "steps, over its budget of 20000000" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["analyze", "figure2", "--bogus"]) == 2
@@ -528,7 +529,8 @@ class TestJson:
 
     def test_verify_answers_or_exits_3_on_13_to_20_vertices(self, capsys, tmp_path):
         # the basis implies every ordered-local statement under composition,
-        # so verify never ends in 1; past the closure budget it ends in 3
+        # so verify never ends in 1; past the closure's step budget it would
+        # end in 3, but all 40 of these answer within it
         rng = np.random.default_rng(7)
         path = tmp_path / "g.txt"
         codes = []
@@ -541,7 +543,7 @@ class TestJson:
                 assert code == 0, out
                 assert out.splitlines()[-1].startswith("all ordered-local statements follow")
             codes.append(code)
-        assert codes.count(0) >= 10, codes
+        assert codes.count(0) == 40, codes
 
 
 class TestSemPipeline:

@@ -11,6 +11,7 @@ from admgci import (
     WITH_COMPOSITION,
     build_collapsed_ordering,
     closure,
+    implies_each,
     m_separated,
     maximal_ancestral_sets,
     ordered_local_entries,
@@ -29,7 +30,13 @@ from admgci.markov import (
     _reduced_form_applies,
     _reduced_statement,
 )
-from conftest import random_admg, random_bidirected_graph, random_cycle_free_admg, random_dag
+from conftest import (
+    random_admg,
+    random_bidirected_graph,
+    random_block_admg,
+    random_cycle_free_admg,
+    random_dag,
+)
 from oracles import (
     all_subsets,
     blanket_by_definition,
@@ -506,6 +513,18 @@ class TestReducedBasis:
             uni = StatementUniverse(g.vertices)
             assert set(ordered) <= closure(uni, basis.statements, WITH_COMPOSITION), repr(g)
         assert cyclic >= 100 and pruning >= 50, (cyclic, pruning)
+
+    def test_basis_implies_ordered_statements_at_10_to_12_vertices(self):
+        # the claim on cycle-free graphs of 10-12 vertices, target by target:
+        # their closures are often too large to list
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            g = random_block_admg(rng, int(rng.integers(10, 13)))
+            basis = reduced_basis(g)
+            in_basis = set(basis.statements)
+            targets = [st for st in ordered_local_markov(g, basis.ordering) if st not in in_basis]
+            uni = StatementUniverse(g.vertices)
+            assert all(implies_each(uni, basis.statements, targets, WITH_COMPOSITION)), repr(g)
 
     def test_pure_bidirected_matches_pairwise_family(self):
         # one statement per vertex: independent of all non-spouses, given nothing

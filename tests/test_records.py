@@ -126,8 +126,9 @@ def test_statement_rejects_a_bare_string_side(side):
 def test_statements_built_unchecked_would_pass_the_checks(monkeypatch):
     # closure, reduced_basis, reduced_local_markov and ordered_local_markov
     # build their statements without the constructor's checks: each would
-    # pass them, and keep its orientation; a budget of 1000 keeps the large
-    # closures of sparse 9-vertex graphs from dominating the run time
+    # pass them, and keep its orientation; a listing budget of 1000 keeps
+    # the large closures of sparse 9-vertex graphs from dominating the run
+    # time (the engine's dominant statements are few, the listing is not)
     monkeypatch.setattr(implication, "CLOSURE_BUDGET", 1000)
     rng = np.random.default_rng(61)
     generators = (random_admg, random_block_admg, random_dag, random_bidirected_graph)
