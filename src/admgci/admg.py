@@ -3,12 +3,13 @@
 An ADMG has a set of vertices, a set of directed edges whose directed part is
 acyclic, and a set of bi-directed edges. A pair of vertices may carry both a
 directed and a bi-directed edge. Graphs are immutable: each fact that takes
-one O(V+E) pass is derived in the constructor, and three per-vertex facts
-are cached on first use: the ancestor set, the descendant set and the
-reduced-form statement, the very object the basis returns, which the graph
-keeps alive as long as it lives. ``reduced_basis`` also leaves the
-ordered-local statements it enumerated, for its last ordering only, which
-``ordered_local_markov`` reuses. Instances are safe to share between threads.
+one O(V+E) pass is derived in the constructor (the components over the
+district quotient), and three per-vertex facts on first use: the ancestor
+set, the descendant set (all of them in one sweep for the basis) and the
+reduced-form statement, the very object the basis returns, kept alive as
+long as the graph. ``reduced_basis`` also leaves the ordered-local statements
+it enumerated, for its last ordering only, which ``ordered_local_markov``
+reuses. Instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class Admg:
     hash seed); the least-name-first topological order, whose sort is also the
     acyclicity check, and each vertex's position in it; the districts; and
     the strongly connected components of the mixed graph (directed edges
-    forward, bi-directed edges both ways), with the *cyclic* ones that hold a
-    directed edge. The ancestor and descendant closures and the reduced-form
-    statement (``markov._reduced_statement``) are cached per vertex on first
-    use. The ordered-local memo holds, for one ordering (the last that
-    ``reduced_basis`` ran), the statements of the vertices it enumerated.
+    forward, bi-directed edges both ways), found over the district quotient,
+    with the *cyclic* ones that hold a directed edge. Ancestor and descendant
+    sets (all of the latter in one sweep for the basis) and the reduced-form
+    statements (``markov._reduced_statement``) are cached on first use. The
+    ordered-local memo holds the statements of the last ``reduced_basis``.
 
     Parameters
     ----------
@@ -110,15 +111,13 @@ class Admg:
         self._directed = frozenset(dir_edges)
         self._bidirected = frozenset(bi_edges)
 
-        pa: dict[str, set[str]] = {v: set() for v in names}
-        ch: dict[str, set[str]] = {v: set() for v in names}
-        sp: dict[str, set[str]] = {v: set() for v in names}
+        pa, ch, sp = ({v: [] for v in names} for _ in range(3))  # lists: the edges are distinct
         for tail, head in dir_edges:
-            pa[head].add(tail)
-            ch[tail].add(head)
+            pa[head].append(tail)
+            ch[tail].append(head)
         for u, v in map(tuple, bi_edges):
-            sp[u].add(v)
-            sp[v].add(u)
+            sp[u].append(v)
+            sp[v].append(u)
         self._parents, self._children, self._spouses = (
             {v: tuple(sorted(m[v])) for v in names} for m in (pa, ch, sp)
         )
@@ -134,17 +133,23 @@ class Admg:
         self._order = tuple(order)
         self._position = {v: i for i, v in enumerate(order)}
 
-        self._district: dict[str, frozenset[str]] = {}
-        for v in names:  # a district is met first at its least member
-            if v not in self._district:
+        # a district, named by its least member (met first), is strongly connected,
+        # so the mixed graph's components, cyclic if they hold a directed edge,
+        # are those of the district quotient, with arcs along the directed edges
+        district, lead, quotient = {}, {}, {}
+        for v in names:
+            if v not in lead:
                 comp = self._closure_of(v, sp, {})
-                self._district.update(dict.fromkeys(comp, comp))
-        self._components = tuple(dict.fromkeys(self._district.values()))
-
-        # each vertex's component in the mixed graph, named by a member; the
-        # cyclic components hold both ends of a directed edge
-        scc = self._scc = _strong_components(names, lambda v: chain(ch[v], sp[v]))
-        self._cyclic = frozenset(scc[t] for t, h in dir_edges if scc[t] == scc[h])
+                quotient[v] = []
+                for u in comp:
+                    district[u], lead[u] = comp, v
+        for t, h in dir_edges:
+            quotient[lead[t]].append(lead[h])
+        scc = _strong_components(quotient, quotient.__getitem__)
+        self._district, self._lead = district, lead
+        self._components = tuple(district[r] for r in quotient)
+        root = self._scc = {v: scc[r] for v, r in lead.items()}
+        self._cyclic = frozenset(root[t] for t, h in dir_edges if root[t] == root[h])
         self._hash = hash((self._vertices, self._directed, self._bidirected))
 
         # lazy per-vertex caches; safe because the graph never mutates
@@ -243,6 +248,16 @@ class Admg:
     def descendants(self, s: Collection[str]) -> frozenset[str]:
         """Reflexive-transitive closure of the child relation; ``s`` is included."""
         return self._union(s, lambda v: self._closure_of(v, self._children, self._de_cache))
+
+    def _descendant_sets(self) -> dict[str, frozenset[str]]:
+        """The descendant-set cache made whole: the missing sets in one sweep,
+        each the union of its children's, which the sweep has already met."""
+        de = self._de_cache
+        if len(de) < len(self._order):
+            for v in reversed(self._order):
+                if v not in de:
+                    de[v] = frozenset(chain((v,), *map(de.__getitem__, self._children[v])))
+        return de
 
     def district(self, x: str) -> frozenset[str]:
         """The c-component of ``x``: its connected component via bi-directed edges."""

@@ -191,8 +191,8 @@ def _reduced_statement(g: Admg, x: str) -> CiStatement | None:
     cache = g._reduced_cache
     if x in cache:
         return cache[x]
-    de = (g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x]))
-    indep = g._vset.difference(g._parents[x], *de)
+    de = g._descendant_sets()
+    indep = g._vset.difference(g._parents[x], de[x], *map(de.__getitem__, g._spouses[x]))
     stmt = _trusted(frozenset((x,)), frozenset(g._parents[x]), indep) if indep else None
     return cache.setdefault(x, stmt)
 
@@ -233,26 +233,39 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
     order as re-sorting them after every step.
 
     The vertex-simple path search runs only for pairs inside a cyclic
-    strongly connected component of the evolving graph's mixed graph (arcs
-    along directed edges, both ways along bi-directed ones; see
-    :meth:`Admg.has_mixed_directed_cycle`). A mixed directed path between the
-    ends of a bi-directed edge, closed by that edge, is a closed walk that
-    holds a directed edge, so both ends of that directed edge and the pair lie
-    in one cyclic component. Any other pair has no mixed directed path and
-    merges without a search. A merge never changes the components, since the
-    merged pair already reach each other both ways: they stay those of the
-    original graph until a drop, which can split only the component that held
-    the dropped edge, and only that component is decomposed again.
+    strongly connected component of the evolving mixed graph (arcs along
+    directed edges, both ways along bi-directed ones; see
+    :meth:`Admg.has_mixed_directed_cycle`): a mixed directed path closed by
+    the pair's edge is a closed walk with a directed edge, so it stays in the
+    pair's component, which is cyclic. A merge never changes the components;
+    a drop can split only its own, which alone is decomposed again. A
+    component that is not cyclic is one district with no directed edge
+    inside, so the collapse starts from one supernode per such district and
+    heaps only the edges of cyclic components: each edge left out would merge
+    unsearched, no outside merge changes a search's answer, and the final DAG
+    is the same. Supernodes have no more adjacency entries than their
+    members, so a search that finds no path reads no more than edge by edge;
+    one that finds a path stops early, after reads that rest on set order.
 
     All searches of one call share a budget of ``MIXED_PATH_BUDGET``
     adjacency reads; past it, :class:`CapacityError` names the pair and the
     size of its cyclic component.
     """
-    members = {v: [v] for v in g.vertices}
-    parents = {v: set(g._parents[v]) for v in g.vertices}
-    children = {v: set(g._children[v]) for v in g.vertices}
-    spouses = {v: set(g._spouses[v]) for v in g.vertices}
     component, cyclic = dict(g._scc), set(g._cyclic)  # keyed by supernode name
+    members, spouses, heap = {}, {}, []  # a supernode per district, or per vertex if cyclic
+    for d in g._components:
+        least = min(d)
+        if component[least] not in cyclic:
+            members[least], spouses[least] = list(d), set()
+            continue
+        for v in d:
+            members[v], spouses[v] = [v], set(g._spouses[v])
+            heap.extend((v, s) for s in g._spouses[v] if v < s)
+    node = {v: n for n, vs in members.items() for v in vs}
+    parents, children = {n: set() for n in members}, {n: set() for n in members}
+    for t, h in g._directed:
+        children[node[t]].add(node[h])
+        parents[node[h]].add(node[t])
     budget = [MIXED_PATH_BUDGET]
 
     def linked(u: str, w: str) -> bool:
@@ -265,7 +278,6 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
             size = sum(len(members[n]) for n in members if component[n] == component[u])
             raise CapacityError(f"{exc}, in a cyclic component of {size} vertices") from None
 
-    heap = [tuple(sorted(e)) for e in g.bidirected_edges]
     heapq.heapify(heap)
     while heap:
         u, w = heapq.heappop(heap)
@@ -325,15 +337,18 @@ def build_collapsed_ordering(g: Admg) -> tuple[str, ...]:
 # --- pruning conditions --------------------------------------------------------
 
 
-def _reduced_form_applies(g: Admg, x: str, pos: dict[str, int]) -> bool:
-    """True iff the reduced-form statement of ``x`` subsumes its ordered-local
-    ones: the part of x's district up to x is consecutive in the validated
-    ordering (positions ``pos``) and holds no directed edge."""
-    dp = frozenset(v for v in g._district[x] if pos[v] <= pos[x])
-    positions = [pos[v] for v in dp]
-    if max(positions) - min(positions) != len(positions) - 1:
-        return False
-    return all(dp.isdisjoint(g._children[v]) for v in dp)
+def _reduced_form_flags(g: Admg, order: tuple[str, ...]) -> Iterator[bool]:
+    """Per vertex x of the validated ``order``, whether its reduced-form
+    statement subsumes its ordered-local ones: its district is consecutive up
+    to x and has no directed edge yet (only a cyclic component holds one)."""
+    lead, parents, scc, cyclic = g._lead, g._parents, g._scc, g._cyclic
+    last, spoilt = {}, set()  # each district's last position; the spoilt ones
+    for i, x in enumerate(order):
+        d = lead[x]
+        if last.get(d, i - 1) != i - 1 or (scc[x] in cyclic and d in map(lead.get, parents[x])):
+            spoilt.add(d)
+        last[d] = i
+        yield d not in spoilt
 
 
 def _prunable(g: Admg, dis_pre: frozenset, a: frozenset, d: frozenset, mb: frozenset) -> bool:
@@ -352,7 +367,7 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
     closure under the composition-extended semi-graphoid axioms recovers the
     ordered local Markov property.
 
-    Works for any ADMG. Vertices where ``_reduced_form_applies`` contribute
+    Works for any ADMG. Vertices where ``_reduced_form_flags`` holds contribute
     their single reduced-form statement; the rest fall back to the ordered
     local statements, pruning every ancestral set that ``_prunable``
     certifies as implied. Vacuous statements
@@ -377,9 +392,8 @@ def reduced_basis(g: Admg, ordering: Iterable[str] | None = None) -> ReducedBasi
             provenance.append(tag)
         return at
 
-    pos = {v: i for i, v in enumerate(order)}
-    for i, x in enumerate(order):
-        if _reduced_form_applies(g, x, pos):
+    for i, (x, reduced) in enumerate(zip(order, _reduced_form_flags(g, order))):
+        if reduced:
             stmt = _reduced_statement(g, x)
             if stmt is not None:
                 emit(stmt, REDUCED_FORM)

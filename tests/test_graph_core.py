@@ -2,6 +2,7 @@
 beyond what recursion or path enumeration can handle."""
 
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from admgci import (
     reduced_local_markov,
     validate_ordering,
 )
-from admgci.admg import MIXED_PATH_BUDGET
+from admgci.admg import MIXED_PATH_BUDGET, _strong_components
 from admgci.cli import main
 from conftest import district_chain_admg, random_admg, random_block_admg, random_sparse_admg
 from oracles import (
@@ -76,6 +77,23 @@ def closed_ladder(rungs: int) -> Admg:
     return bidirected_ladder(rungs, [(f"b{rungs - 1}", "a0")])
 
 
+def partition(root: dict, cyclic) -> set:
+    """The blocks of a vertex -> component-name map, each with whether its
+    name is among ``cyclic``."""
+    blocks: dict = {}
+    for v, r in root.items():
+        blocks.setdefault(r, set()).add(v)
+    return {(frozenset(b), r in cyclic) for r, b in blocks.items()}
+
+
+def assert_quotient_components(g: Admg) -> None:
+    """The components the graph found over its district quotient are those of
+    a vertex-level pass over the mixed graph, cyclic ones included."""
+    root = _strong_components(g.vertices, lambda v: chain(g._children[v], g._spouses[v]))
+    cyclic = {root[t] for t, h in g.directed_edges if root[t] == root[h]}
+    assert partition(g._scc, g._cyclic) == partition(root, cyclic), repr(g)
+
+
 class TestAgainstOracles:
     def test_mixed_cycle_and_collapse_match_enumeration(self):
         cycles, consecutive, bows = Counter(), Counter(), 0
@@ -90,6 +108,21 @@ class TestAgainstOracles:
         assert min(cycles[True], cycles[False]) > 100, cycles
         assert min(consecutive[True], consecutive[False]) > 100, consecutive
         assert bows > 100
+
+    def test_district_first_collapse_where_it_meets_the_search(self):
+        # a cyclic component, where the collapse searches, beside a
+        # bi-directed edge in a component that is not, merged from the start;
+        # the graphs of the test above hold about 100 such, sparse ones more
+        rng = np.random.default_rng(50)
+        sparse = (random_sparse_admg(rng, int(rng.integers(6, 15))) for _ in range(600))
+        met = 0
+        for g in chain(oracle_graphs(seed=50, count=2400, max_vertices=10), sparse):
+            assert_quotient_components(g)
+            cyclic = g._cyclic
+            if cyclic and any(g._scc[min(e)] not in cyclic for e in g.bidirected_edges):
+                assert build_collapsed_ordering(g) == collapsed_ordering_reference(g), repr(g)
+                met += 1
+        assert met > 200, met
 
     def test_cycle_free_iff_no_district_holds_a_directed_edge_and_districts_form_a_dag(self):
         # the characterization that random_block_admg draws from
@@ -307,6 +340,14 @@ class TestBeyondRecursionDepth:
         assert "mixed-directed-cycle: yes" in capsys.readouterr().out
         assert main(["order", str(path)]) == 0
         assert capsys.readouterr().out == ",".join(chain_ordering(1500)) + "\n"
+
+    def test_quotient_components_match_the_vertex_level_pass(self):
+        assert_quotient_components(bidirected_chain(1500))
+        for edges in ((), [("a0", "b5")], [("b4999", "a0")]):
+            assert_quotient_components(bidirected_ladder(5000, edges))
+        # many districts, and a cyclic component of about 1000 vertices
+        for seed in (0, 1):
+            assert_quotient_components(random_sparse_admg(np.random.default_rng(seed), 1500))
 
     def test_ten_thousand_vertex_ladder(self):
         g = bidirected_ladder(5000)

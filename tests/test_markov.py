@@ -27,7 +27,7 @@ from admgci.markov import (
     _blanket,
     _district_in,
     _prunable,
-    _reduced_form_applies,
+    _reduced_form_flags,
     _reduced_statement,
 )
 from conftest import (
@@ -70,8 +70,10 @@ def prunable(g: Admg, x: str, order, a) -> bool:
     return _prunable(g, _district_in(g, x, pre), a, d, _blanket(g, x, d))
 
 
-def positions(order) -> dict[str, int]:
-    return {v: i for i, v in enumerate(order)}
+def reduced_form(g: Admg, x: str, order) -> bool:
+    """The basis's one-pass reduced-form test over ``order``, read at ``x``."""
+    order = tuple(order)
+    return list(_reduced_form_flags(g, order))[order.index(x)]
 
 
 class TestMarkovBlanket:
@@ -233,10 +235,10 @@ class TestFigure3Reconstruction:
         order = expected.FIGURE3_ORDERING
         pre_b = frozenset(order[: order.index("b") + 1])
         assert figure3.district("b") & pre_b == {"a", "b"}
-        assert _reduced_form_applies(figure3, "b", positions(order))
+        assert reduced_form(figure3, "b", order)
 
     def test_vertex_c_fails_the_consecutive_condition(self, figure3):
-        assert not _reduced_form_applies(figure3, "c", positions(expected.FIGURE3_ORDERING))
+        assert not reduced_form(figure3, "c", expected.FIGURE3_ORDERING)
 
     def test_pruning_decisions_for_c(self, figure3):
         order = expected.FIGURE3_ORDERING
@@ -378,7 +380,7 @@ class TestPruningConditions:
         for _ in range(20):
             g = random_admg(rng, int(rng.integers(2, 7)))
             order = build_collapsed_ordering(g)
-            assert _reduced_form_applies(g, order[0], positions(order))
+            assert reduced_form(g, order[0], order)
 
     def test_reducible_vertex_statement_is_m_separation(self):
         rng = np.random.default_rng(28)
@@ -386,7 +388,7 @@ class TestPruningConditions:
             g = random_admg(rng, int(rng.integers(2, 9)))
             order = build_collapsed_ordering(g)
             for x in order:
-                if _reduced_form_applies(g, x, positions(order)):
+                if reduced_form(g, x, order):
                     stmt = _reduced_statement(g, x)
                     if stmt is not None:
                         assert m_separated(g, [x], stmt.y, stmt.z), (repr(g), x)
@@ -398,10 +400,25 @@ class TestPruningConditions:
             g = random_admg(rng, int(rng.integers(2, 9)))
             order = _random_consistent_order(rng, g)
             for x in order:
-                got = _reduced_form_applies(g, x, positions(order))
+                got = reduced_form(g, x, order)
                 assert got == reduced_form_by_definition(g, x, order), (repr(g), order, x)
                 answers[got] += 1
         assert min(answers.values()) > 200, answers
+
+    def test_one_pass_reduced_form_matches_the_definition(self):
+        # the collapsed ordering and a random consistent one of each graph
+        rng = np.random.default_rng(61)
+        answers, scattered = {True: 0, False: 0}, 0
+        for _ in range(1000):
+            g = random_admg(rng, int(rng.integers(2, 11)))
+            for order in (build_collapsed_ordering(g), tuple(_random_consistent_order(rng, g))):
+                for i, (x, got) in enumerate(zip(order, _reduced_form_flags(g, order))):
+                    assert got == reduced_form_by_definition(g, x, order), (repr(g), order, x)
+                    answers[got] += 1
+                    spots = [j for j, v in enumerate(order[: i + 1]) if v in g.district(x)]
+                    scattered += spots[-1] - spots[0] != len(spots) - 1
+        assert min(answers.values()) > 100, answers
+        assert scattered > 100, scattered
 
     def test_full_prefix_is_trivially_redundant_free(self, figure3):
         order = expected.FIGURE3_ORDERING
