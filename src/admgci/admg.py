@@ -4,12 +4,12 @@ An ADMG has a set of vertices, a set of directed edges whose directed part is
 acyclic, and a set of bi-directed edges. A pair of vertices may carry both a
 directed and a bi-directed edge. Graphs are immutable: each fact that takes
 one O(V+E) pass is derived in the constructor (the components over the
-district quotient), and three per-vertex facts on first use: the ancestor
-set, the descendant set (all of them in one sweep for the basis) and the
-reduced-form statement, the very object the basis returns, kept alive as
-long as the graph. ``reduced_basis`` also leaves the ordered-local statements
-it enumerated, for its last ordering only, which ``ordered_local_markov``
-reuses. Instances are safe to share between threads.
+district quotient), and three per-vertex facts are cached on first use: the
+ancestor set, the descendant set and the reduced-form statement, the very
+object the basis returns, kept alive as long as the graph. ``reduced_basis``
+also leaves the ordered-local statements it enumerated, for its last
+ordering only, which ``ordered_local_markov`` reuses. Instances are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class Admg:
     acyclicity check, and each vertex's position in it; the districts; and
     the strongly connected components of the mixed graph (directed edges
     forward, bi-directed edges both ways), found over the district quotient,
-    with the *cyclic* ones that hold a directed edge. Ancestor and descendant
-    sets (all of the latter in one sweep for the basis) and the reduced-form
-    statements (``markov._reduced_statement``) are cached on first use. The
+    with the *cyclic* ones that hold a directed edge. The ancestor and
+    descendant closures and the reduced-form statement
+    (``markov._reduced_statement``) are cached per vertex on first use. The
     ordered-local memo holds the statements of the last ``reduced_basis``.
 
     Parameters
@@ -248,16 +248,6 @@ class Admg:
     def descendants(self, s: Collection[str]) -> frozenset[str]:
         """Reflexive-transitive closure of the child relation; ``s`` is included."""
         return self._union(s, lambda v: self._closure_of(v, self._children, self._de_cache))
-
-    def _descendant_sets(self) -> dict[str, frozenset[str]]:
-        """The descendant-set cache made whole: the missing sets in one sweep,
-        each the union of its children's, which the sweep has already met."""
-        de = self._de_cache
-        if len(de) < len(self._order):
-            for v in reversed(self._order):
-                if v not in de:
-                    de[v] = frozenset(chain((v,), *map(de.__getitem__, self._children[v])))
-        return de
 
     def district(self, x: str) -> frozenset[str]:
         """The c-component of ``x``: its connected component via bi-directed edges."""

@@ -191,8 +191,8 @@ def _reduced_statement(g: Admg, x: str) -> CiStatement | None:
     cache = g._reduced_cache
     if x in cache:
         return cache[x]
-    de = g._descendant_sets()
-    indep = g._vset.difference(g._parents[x], de[x], *map(de.__getitem__, g._spouses[x]))
+    de = (g._closure_of(v, g._children, g._de_cache) for v in (x, *g._spouses[x]))
+    indep = g._vset.difference(g._parents[x], *de)
     stmt = _trusted(frozenset((x,)), frozenset(g._parents[x]), indep) if indep else None
     return cache.setdefault(x, stmt)
 

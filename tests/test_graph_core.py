@@ -94,34 +94,37 @@ def assert_quotient_components(g: Admg) -> None:
     assert partition(g._scc, g._cyclic) == partition(root, cyclic), repr(g)
 
 
+def meets_the_search(g: Admg) -> bool:
+    """A cyclic component, where the collapse searches, beside a bi-directed
+    edge in a component that is not, merged from the start."""
+    return bool(g._cyclic) and any(g._scc[min(e)] not in g._cyclic for e in g.bidirected_edges)
+
+
 class TestAgainstOracles:
     def test_mixed_cycle_and_collapse_match_enumeration(self):
         cycles, consecutive, bows = Counter(), Counter(), 0
+        met = 0  # graphs where the district-first start meets the search
         for g in oracle_graphs(seed=50, count=2400, max_vertices=10):
             cyclic = g.has_mixed_directed_cycle()
             assert cyclic == mixed_directed_cycle_by_enumeration(g), repr(g)
+            assert_quotient_components(g)
             order = build_collapsed_ordering(g)
             assert order == collapsed_ordering_reference(g), repr(g)
             cycles[cyclic] += 1
             consecutive[districts_consecutive(g, order)] += 1
             bows += has_bow(g)
+            met += meets_the_search(g)
+        # these hold about 100 such graphs; sparse ones hold more
+        rng = np.random.default_rng(50)
+        for _ in range(600):
+            g = random_sparse_admg(rng, int(rng.integers(6, 15)))
+            assert_quotient_components(g)
+            if meets_the_search(g):
+                assert build_collapsed_ordering(g) == collapsed_ordering_reference(g), repr(g)
+                met += 1
         assert min(cycles[True], cycles[False]) > 100, cycles
         assert min(consecutive[True], consecutive[False]) > 100, consecutive
         assert bows > 100
-
-    def test_district_first_collapse_where_it_meets_the_search(self):
-        # a cyclic component, where the collapse searches, beside a
-        # bi-directed edge in a component that is not, merged from the start;
-        # the graphs of the test above hold about 100 such, sparse ones more
-        rng = np.random.default_rng(50)
-        sparse = (random_sparse_admg(rng, int(rng.integers(6, 15))) for _ in range(600))
-        met = 0
-        for g in chain(oracle_graphs(seed=50, count=2400, max_vertices=10), sparse):
-            assert_quotient_components(g)
-            cyclic = g._cyclic
-            if cyclic and any(g._scc[min(e)] not in cyclic for e in g.bidirected_edges):
-                assert build_collapsed_ordering(g) == collapsed_ordering_reference(g), repr(g)
-                met += 1
         assert met > 200, met
 
     def test_cycle_free_iff_no_district_holds_a_directed_edge_and_districts_form_a_dag(self):
